@@ -51,6 +51,7 @@ from .errors import (
     EmptyGraph,
     InconsistentTheorem,
     NegativeEntry,
+    NonFiniteEntry,
     NonPositiveDimension,
     NonPositiveEntry,
     NotConverged,
@@ -203,6 +204,7 @@ __all__ = [
     # errors
     "CoupleclustError",
     "NegativeEntry",
+    "NonFiniteEntry",
     "SumNotOne",
     "ConditionHViolated",
     "DimensionMismatch",

@@ -6,9 +6,10 @@ per-stream outputs in stream order. Results therefore depend on
 ``(seed, n_streams)`` only; whether streams run sequentially or on a thread
 pool never changes a byte.
 
-The ``COUPLECLUST_THREADS`` environment variable caps the size of the thread
-pool used to execute streams (default: no threading for a single stream,
-one thread per stream otherwise, capped).
+The ``COUPLECLUST_THREADS`` environment variable sets the size of the thread
+pool used to execute streams: ``min(n_streams, COUPLECLUST_THREADS)``
+workers. Unset, empty, unparsable or below 2, streams run one after another
+on the calling thread.
 """
 
 from __future__ import annotations

@@ -319,6 +319,14 @@ def cmd_best_exhaustive(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """argparse type for sample counts: a nonnegative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_out(sub) -> None:
     sub.add_argument(
         "--out", default=None, help="output file (default: stdout)"
@@ -401,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("q", type=int)
     s.add_argument(
         "--samples",
-        type=int,
+        type=_count,
         default=10_000,
         help="Monte Carlo sample count; 0 skips the estimate (default 10000)",
     )
@@ -436,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         "paired difference b_plus - b_times",
     )
     s.add_argument("--bins", type=int, default=200)
-    s.add_argument("--samples", type=int, default=100_000)
+    s.add_argument("--samples", type=_count, default=100_000)
     s.add_argument(
         "--theoretical",
         action="store_true",

@@ -33,6 +33,7 @@ from .errors import (
     ConditionHViolated,
     DimensionMismatch,
     NegativeEntry,
+    NonFiniteEntry,
     NonPositiveDimension,
     SumNotOne,
 )
@@ -133,6 +134,8 @@ def validate_margin(probs: Sequence[float] | np.ndarray) -> Margin:
 
     Raises
     ------
+    NonFiniteEntry
+        If any entry is NaN or infinite.
     NegativeEntry
         If any entry is negative.
     SumNotOne
@@ -141,6 +144,8 @@ def validate_margin(probs: Sequence[float] | np.ndarray) -> Margin:
     arr = np.asarray(probs, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise DimensionMismatch("a margin must be a nonempty 1-d vector")
+    if not np.isfinite(arr).all():
+        raise NonFiniteEntry("margin entries must be finite")
     if np.any(arr < 0):
         raise NegativeEntry("margin entries must be nonnegative")
     total = float(arr.sum())
@@ -193,11 +198,14 @@ class JointDistribution:
         """Build a joint from raw cells, deriving both margins.
 
         Cells in ``[-1e-12, 0)`` are treated as rounding dust and clipped to
-        exact 0; genuinely negative cells raise :class:`NegativeEntry`.
+        exact 0; genuinely negative cells raise :class:`NegativeEntry`, NaN
+        or infinite ones :class:`NonFiniteEntry`.
         """
         arr = np.asarray(cells, dtype=float)
         if arr.ndim != 2 or arr.size == 0:
             raise DimensionMismatch("cells must be a nonempty 2-d matrix")
+        if not np.isfinite(arr).all():
+            raise NonFiniteEntry("joint cells must be finite")
         low = float(arr.min())
         if low < -CONDITION_H_SLACK:
             raise NegativeEntry(f"cell minimum {low!r} is negative")

@@ -18,6 +18,11 @@ class NegativeEntry(CoupleclustError, ValueError):
     """A probability vector or matrix contains a negative entry."""
 
 
+class NonFiniteEntry(CoupleclustError, ValueError):
+    """A probability vector, joint or weight matrix contains a NaN or an
+    infinite entry."""
+
+
 class SumNotOne(CoupleclustError, ValueError):
     """A probability vector does not sum to 1 within tolerance."""
 

@@ -35,6 +35,7 @@ from .errors import (
     DimensionMismatch,
     EdgeListParseError,
     EmptyGraph,
+    NonFiniteEntry,
     NonPositiveDimension,
     ZeroEps,
 )
@@ -72,8 +73,8 @@ class WeightedGraph:
     Parameters
     ----------
     weights : numpy.ndarray or scipy.sparse matrix
-        Square symmetric matrix of nonnegative reals. Dense input beyond
-        ``DENSE_CAP`` nodes is converted to CSR.
+        Square symmetric matrix of finite nonnegative reals. Dense input
+        beyond ``DENSE_CAP`` nodes is converted to CSR.
 
     Attributes
     ----------
@@ -91,6 +92,8 @@ class WeightedGraph:
             mat = sparse.csr_array(weights)
             if mat.shape[0] != mat.shape[1]:
                 raise DimensionMismatch("weight matrix must be square")
+            if not np.isfinite(mat.data).all():
+                raise NonFiniteEntry("weights must be finite")
             if mat.nnz and mat.data.min() < 0:
                 raise ValueError("weights must be nonnegative")
             if (mat - mat.T).nnz and abs((mat - mat.T)).max() > 0:
@@ -103,6 +106,8 @@ class WeightedGraph:
             arr = np.asarray(weights, dtype=float)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise DimensionMismatch("weight matrix must be square")
+            if not np.isfinite(arr).all():
+                raise NonFiniteEntry("weights must be finite")
             if arr.size and arr.min() < 0:
                 raise ValueError("weights must be nonnegative")
             if not np.array_equal(arr, arr.T):
@@ -166,13 +171,6 @@ class WeightedGraph:
             return idx, row[idx]
         lo, hi = self._csr.indptr[i], self._csr.indptr[i + 1]
         return self._csr.indices[lo:hi], self._csr.data[lo:hi]
-
-    def class_row_sums(self, members: np.ndarray) -> np.ndarray:
-        """For each member node, its total weight to the member set."""
-        if self._dense is not None:
-            return self._dense[np.ix_(members, members)].sum(axis=1)
-        sub = self._csr[members][:, members]
-        return np.asarray(sub.sum(axis=1)).ravel().astype(float)
 
     def edge_list_text(self) -> str:
         """Tab-separated ``i j weight`` lines, each undirected edge once

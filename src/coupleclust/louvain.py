@@ -30,12 +30,15 @@ Both criteria are additive in their block arguments, which lets move gains
 and global scores be computed from per-class aggregates (internal weight,
 degree mass, size) without touching individual pairs; the
 ``block_evaluator`` field of :class:`LocalCriterion` is that aggregate
-form.
+form. Scoring a partition is a few vectorized passes over the nnz stored
+weights and the n nodes, O(nnz + n log n) with no per-class Python loop;
+a move gain costs one dict pass over the node's neighbors.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -245,23 +248,45 @@ def _check_graph(g: WeightedGraph, criterion: LocalCriterion) -> None:
         raise EmptyGraph("graph has zero total weight")
 
 
+def _stored_entries(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and weight of every stored entry, row by row in the order
+    :meth:`WeightedGraph.neighbors` yields them (both triangles, diagonal
+    included)."""
+    w = g.weights
+    if isinstance(w, np.ndarray):
+        rows, cols = np.nonzero(w)
+        return rows, cols, w[rows, cols]
+    return np.repeat(np.arange(g.n), np.diff(w.indptr)), w.indices, w.data
+
+
 def _score_labels(
-    g: WeightedGraph, criterion: LocalCriterion, labels: np.ndarray
+    g: WeightedGraph,
+    criterion: LocalCriterion,
+    labels: np.ndarray,
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> float:
-    """Partition score from per-class aggregates (diagonal pairs included)."""
+    """Partition score from per-class aggregates in O(nnz + n log n).
+
+    By additivity each node contributes ``block(w_i, d_i, D_C, 1, S_C)``,
+    its pairs with every member of its class C: ``w_i`` is the weight it
+    stores to C (diagonal included), ``D_C`` and ``S_C`` are the degree mass
+    and size of C. The terms are accumulated one by one in (class, node)
+    order: restarts are raced on these rounded sums, and a fixed order keeps
+    exact ties resolving the same way. Class ids need not be consecutive.
+    """
+    rows, cols, vals = entries
+    labels = np.asarray(labels)
     n = g.n
-    two_m = g.total_weight_2m
-    block = criterion.block_evaluator
-    total = 0.0
-    for class_id in np.unique(labels):
-        members = np.nonzero(labels == class_id)[0]
-        w_rows = g.class_row_sums(members)
-        degs = g.degrees[members]
-        deg_class = float(degs.sum())
-        size_class = float(members.size)
-        for w_i, d_i in zip(w_rows.tolist(), degs.tolist()):
-            total += block(w_i, d_i, deg_class, 1.0, size_class, n, two_m)
-    return total
+    same = labels[rows] == labels[cols]
+    w_own = np.bincount(rows[same], weights=vals[same], minlength=n)
+    cls_deg = np.bincount(labels, weights=g.degrees)
+    cls_size = np.bincount(labels).astype(float)
+    order = np.argsort(labels, kind="stable")
+    cls = labels[order]
+    terms = criterion.block_evaluator(
+        w_own[order], g.degrees[order], cls_deg[cls], 1.0, cls_size[cls], n, g.total_weight_2m
+    )
+    return float(np.cumsum(terms)[-1])
 
 
 def global_score(
@@ -273,77 +298,134 @@ def global_score(
         raise DimensionMismatch(
             f"partition covers {partition.n} nodes, graph has {g.n}"
         )
-    return _score_labels(g, criterion, partition.labels)
+    return _score_labels(g, criterion, partition.labels, _stored_entries(g))
+
+
+class _SearchGraph:
+    """The original graph as the search reads it.
+
+    Built once per :func:`louvain` call and shared, never mutated, by every
+    restart, refinement level and the fallback: the stored entries as flat
+    arrays for scoring, and per-node adjacency dicts (self-loops split off)
+    plus degree list for the move passes.
+    """
+
+    __slots__ = ("g", "entries", "adj", "self_w", "deg")
+
+    def __init__(self, g: WeightedGraph):
+        self.g = g
+        self.entries = _stored_entries(g)
+        self.adj: list[dict[int, float]] = [{} for _ in range(g.n)]
+        self.self_w = [0.0] * g.n
+        for i, j, w in zip(*(a.tolist() for a in self.entries)):
+            if i == j:
+                self.self_w[i] = w
+            else:
+                self.adj[i][j] = w
+        self.deg: list[float] = g.degrees.tolist()
+
+    def score(self, criterion: LocalCriterion, labels) -> float:
+        return _score_labels(self.g, criterion, labels, self.entries)
 
 
 class _Level:
-    """Mutable quotient-graph state for one aggregation level.
+    """Mutable quotient-graph state for one aggregation level, as plain
+    Python lists.
 
     Super-node attributes (degree mass, size) are sums over the original
     nodes they contain; ``n`` and ``two_m`` always refer to the original
-    graph, since the criteria normalize by them.
+    graph, since the criteria normalize by them. ``adj``, ``self_w``,
+    ``deg`` and ``size`` are read-only; the passes update ``labels``,
+    ``cls_deg`` and ``cls_size``.
     """
 
     __slots__ = ("adj", "self_w", "deg", "size", "labels", "cls_deg", "cls_size")
 
     def __init__(self, adj, self_w, deg, size):
         self.adj: list[dict[int, float]] = adj
-        self.self_w = self_w
-        self.deg = deg
-        self.size = size
-        m = len(adj)
-        self.labels = np.arange(m, dtype=np.int64)
-        self.cls_deg = deg.copy()
-        self.cls_size = size.copy()
+        self.self_w: list[float] = self_w
+        self.deg: list[float] = deg
+        self.size: list[float] = size
+        self.labels = list(range(len(adj)))
+        self.cls_deg = list(deg)
+        self.cls_size = list(size)
 
     @classmethod
-    def from_graph(cls, g: WeightedGraph) -> "_Level":
-        adj = []
-        self_w = np.zeros(g.n)
-        for i in range(g.n):
-            idx, w = g.neighbors(i)
-            row = {}
-            for j, wij in zip(idx.tolist(), w.tolist()):
-                if j == i:
-                    self_w[i] = wij
-                else:
-                    row[j] = wij
-            adj.append(row)
-        return cls(adj, self_w, g.degrees.copy(), np.ones(g.n))
+    def from_graph(cls, sg: _SearchGraph) -> "_Level":
+        return cls(sg.adj, sg.self_w, sg.deg, [1.0] * sg.g.n)
 
     @classmethod
-    def from_partition(cls, g: WeightedGraph, labels: np.ndarray) -> "_Level":
+    def from_partition(cls, sg: _SearchGraph, labels: np.ndarray) -> "_Level":
         """Original-resolution state with a given starting assignment."""
-        level = cls.from_graph(g)
-        level.labels = labels.astype(np.int64).copy()
-        level.cls_deg = np.zeros(g.n)
-        level.cls_size = np.zeros(g.n)
-        for i in range(g.n):
-            level.cls_deg[labels[i]] += level.deg[i]
-            level.cls_size[labels[i]] += level.size[i]
+        level = cls.from_graph(sg)
+        level.labels = np.asarray(labels, dtype=np.int64).tolist()
+        level.cls_deg = [0.0] * sg.g.n
+        level.cls_size = [0.0] * sg.g.n
+        for i, c in enumerate(level.labels):
+            level.cls_deg[c] += level.deg[i]
+            level.cls_size[c] += level.size[i]
         return level
 
     def aggregate(self) -> tuple["_Level", np.ndarray]:
         """Collapse classes to super-nodes; returns the new level and the
         node -> super-node map."""
         old_to_new = Partition.from_labels(self.labels).labels
-        k = int(old_to_new.max()) + 1
-        new_adj: list[dict[int, float]] = [dict() for _ in range(k)]
-        new_self = np.zeros(k)
-        new_deg = np.zeros(k)
-        new_size = np.zeros(k)
+        new_of = old_to_new.tolist()
+        k = max(new_of) + 1
+        new_adj: list[dict[int, float]] = [{} for _ in range(k)]
+        new_self = [0.0] * k
+        new_deg = [0.0] * k
+        new_size = [0.0] * k
         for i, row in enumerate(self.adj):
-            a = int(old_to_new[i])
+            a = new_of[i]
             new_deg[a] += self.deg[i]
             new_size[a] += self.size[i]
             new_self[a] += self.self_w[i]
+            row_a = new_adj[a]
             for j, w in row.items():
-                b = int(old_to_new[j])
+                b = new_of[j]
                 if b == a:
                     new_self[a] += w
                 else:
-                    new_adj[a][b] = new_adj[a].get(b, 0.0) + w
+                    row_a[b] = row_a.get(b, 0.0) + w
         return _Level(new_adj, new_self, new_deg, new_size), old_to_new
+
+
+def _node_terms(
+    level: _Level, node: int, block: Callable[..., float], n: int, two_m: float
+) -> tuple[dict[int, float], float]:
+    """The move-gain kernel: the node's weight to each class it touches, and
+    its stay term ``base``, the block value against the rest of its class.
+
+    Moving the node to class ``b`` gains
+    ``2 * (block(w_by_class.get(b, 0), d, cls_deg[b], s, cls_size[b], n, two_m) - base)``.
+    """
+    labels = level.labels
+    a = labels[node]
+    d = level.deg[node]
+    s = level.size[node]
+    w_by_class: dict[int, float] = {}
+    get = w_by_class.get
+    for j, w in level.adj[node].items():
+        c = labels[j]
+        w_by_class[c] = get(c, 0.0) + w
+    base = block(
+        get(a, 0.0), d, level.cls_deg[a] - d, s, level.cls_size[a] - s, n, two_m
+    )
+    return w_by_class, base
+
+
+def _move(level: _Level, node: int, dst: int) -> int:
+    """Reassign ``node`` to class ``dst``; returns its former class."""
+    src = level.labels[node]
+    d = level.deg[node]
+    s = level.size[node]
+    level.labels[node] = dst
+    level.cls_deg[src] -= d
+    level.cls_size[src] -= s
+    level.cls_deg[dst] += d
+    level.cls_size[dst] += s
+    return src
 
 
 def _move_pass(
@@ -356,55 +438,40 @@ def _move_pass(
 ) -> int:
     """One sweep of single-node moves; returns the number of moves made."""
     block = criterion.block_evaluator
-    labels = level.labels
+    labels, deg, size = level.labels, level.deg, level.size
+    cls_deg, cls_size = level.cls_deg, level.cls_size
     moves = 0
     for node in order.tolist():
-        a = int(labels[node])
-        d = float(level.deg[node])
-        s = float(level.size[node])
-        w_by_class: dict[int, float] = {}
-        for j, w in level.adj[node].items():
-            c = int(labels[j])
-            w_by_class[c] = w_by_class.get(c, 0.0) + w
-        w_stay = w_by_class.get(a, 0.0)
-        base = block(
-            w_stay, d, level.cls_deg[a] - d, s, level.cls_size[a] - s, n, two_m
-        )
+        a = labels[node]
+        d = deg[node]
+        s = size[node]
+        w_by_class, base = _node_terms(level, node, block, n, two_m)
         best_gain = 0.0
         best_class = a
         for b in sorted(w_by_class):
             if b == a:
                 continue
             gain = 2.0 * (
-                block(
-                    w_by_class[b], d, level.cls_deg[b], s, level.cls_size[b], n, two_m
-                )
-                - base
+                block(w_by_class[b], d, cls_deg[b], s, cls_size[b], n, two_m) - base
             )
             if gain > best_gain:
                 best_gain = gain
                 best_class = b
         # A fresh class is worth considering unless the node is already
         # alone (moving to a new empty class would be a no-op).
-        if level.cls_size[a] > s:
+        if cls_size[a] > s:
             gain_alone = 2.0 * (block(0.0, d, 0.0, s, 0.0, n, two_m) - base)
-            if gain_alone > best_gain:
-                empty = np.nonzero(level.cls_size == 0.0)[0]
-                if empty.size:
-                    best_gain = gain_alone
-                    best_class = int(empty[0])
+            if gain_alone > best_gain and 0.0 in cls_size:
+                best_gain = gain_alone
+                best_class = cls_size.index(0.0)
         if best_class != a and best_gain > min_gain:
-            labels[node] = best_class
-            level.cls_deg[a] -= d
-            level.cls_size[a] -= s
-            level.cls_deg[best_class] += d
-            level.cls_size[best_class] += s
+            _move(level, node, best_class)
             moves += 1
     return moves
 
 
 def _run_passes(
-    g: WeightedGraph,
+    sg: _SearchGraph,
     criterion: LocalCriterion,
     level: _Level,
     node_map: np.ndarray,
@@ -416,6 +483,7 @@ def _run_passes(
     the composed original-level score after each pass that moved anything.
     Returns the total number of moves at this level."""
     m = len(level.adj)
+    g = sg.g
     total_moves = 0
     for _ in range(cfg.max_passes):
         if cfg.node_order == "shuffled":
@@ -426,12 +494,12 @@ def _run_passes(
         if moves == 0:
             break
         total_moves += moves
-        trace.append(_score_labels(g, criterion, level.labels[node_map]))
+        trace.append(sg.score(criterion, np.asarray(level.labels)[node_map]))
     return total_moves
 
 
 def _merge_classes(
-    g: WeightedGraph,
+    sg: _SearchGraph,
     criterion: LocalCriterion,
     labels: np.ndarray,
     min_gain: float,
@@ -447,16 +515,17 @@ def _merge_classes(
     labels = part.labels.copy()
     if k == 1:
         return labels, 0
+    g = sg.g
     n = g.n
     two_m = g.total_weight_2m
     block = criterion.block_evaluator
 
     cls_deg = np.bincount(labels, weights=g.degrees, minlength=k)
     cls_size = np.bincount(labels, minlength=k).astype(float)
-    w = np.zeros((k, k))
-    for i in range(n):
-        idx, wts = g.neighbors(i)
-        np.add.at(w[labels[i]], labels[idx], wts)
+    rows, cols, vals = sg.entries
+    w = np.bincount(
+        labels[rows] * k + labels[cols], weights=vals, minlength=k * k
+    ).reshape(k, k)
 
     def pair_gains(row_w, deg_a, size_a):
         return 2.0 * block(row_w, deg_a, cls_deg, size_a, cls_size, n, two_m)
@@ -501,7 +570,7 @@ _ESCAPE_CAP = 128
 
 
 def _escape_pass(
-    g: WeightedGraph,
+    sg: _SearchGraph,
     criterion: LocalCriterion,
     labels: np.ndarray,
     min_gain: float,
@@ -515,57 +584,37 @@ def _escape_pass(
     Deterministic: nodes and classes are scanned in index order. Returns
     canonical labels and whether the kept prefix improved the score.
     """
-    level = _Level.from_partition(g, Partition.from_labels(labels).labels)
-    labels = level.labels
-    n = g.n
-    two_m = g.total_weight_2m
+    level = _Level.from_partition(sg, Partition.from_labels(labels).labels)
+    labels, deg, size = level.labels, level.deg, level.size
+    cls_deg, cls_size = level.cls_deg, level.cls_size
+    n = sg.g.n
+    two_m = sg.g.total_weight_2m
     block = criterion.block_evaluator
-    locked = np.zeros(n, dtype=bool)
+    locked = [False] * n
     applied: list[tuple[int, int, int]] = []
     cum = 0.0
     best_cum = 0.0
     best_len = 0
 
     for _ in range(n):
-        best_gain = -np.inf
+        best_gain = -math.inf
         best_node = -1
         best_class = -1
-        nonempty = np.nonzero(level.cls_size > 0.0)[0]
+        nonempty = [c for c, size_c in enumerate(cls_size) if size_c > 0.0]
+        empty = cls_size.index(0.0) if 0.0 in cls_size else -1
         for node in range(n):
             if locked[node]:
                 continue
-            a = int(labels[node])
-            d = float(level.deg[node])
-            s = float(level.size[node])
-            w_by_class: dict[int, float] = {}
-            for j, w in level.adj[node].items():
-                c = int(labels[j])
-                w_by_class[c] = w_by_class.get(c, 0.0) + w
-            base = block(
-                w_by_class.get(a, 0.0),
-                d,
-                level.cls_deg[a] - d,
-                s,
-                level.cls_size[a] - s,
-                n,
-                two_m,
-            )
-            candidates = [int(b) for b in nonempty if b != a]
-            if level.cls_size[a] > s:
-                empty = np.nonzero(level.cls_size == 0.0)[0]
-                if empty.size:
-                    candidates.append(int(empty[0]))
+            a = labels[node]
+            d = deg[node]
+            s = size[node]
+            w_by_class, base = _node_terms(level, node, block, n, two_m)
+            candidates = [b for b in nonempty if b != a]
+            if cls_size[a] > s and empty >= 0:
+                candidates.append(empty)
             for b in candidates:
                 gain = 2.0 * (
-                    block(
-                        w_by_class.get(b, 0.0),
-                        d,
-                        level.cls_deg[b],
-                        s,
-                        level.cls_size[b],
-                        n,
-                        two_m,
-                    )
+                    block(w_by_class.get(b, 0.0), d, cls_deg[b], s, cls_size[b], n, two_m)
                     - base
                 )
                 if gain > best_gain:
@@ -574,14 +623,7 @@ def _escape_pass(
                     best_class = b
         if best_node < 0:
             break
-        a = int(labels[best_node])
-        labels[best_node] = best_class
-        d = float(level.deg[best_node])
-        s = float(level.size[best_node])
-        level.cls_deg[a] -= d
-        level.cls_size[a] -= s
-        level.cls_deg[best_class] += d
-        level.cls_size[best_class] += s
+        a = _move(level, best_node, best_class)
         locked[best_node] = True
         applied.append((best_node, a, best_class))
         cum += best_gain
@@ -589,30 +631,25 @@ def _escape_pass(
             best_cum = cum
             best_len = len(applied)
 
-    for node, src, dst in reversed(applied[best_len:]):
-        labels[node] = src
-        d = float(level.deg[node])
-        s = float(level.size[node])
-        level.cls_deg[dst] -= d
-        level.cls_size[dst] -= s
-        level.cls_deg[src] += d
-        level.cls_size[src] += s
+    for node, src, _dst in reversed(applied[best_len:]):
+        _move(level, node, src)
     return Partition.from_labels(labels).labels.copy(), best_cum > min_gain
 
 
 def _single_run(
-    g: WeightedGraph,
+    sg: _SearchGraph,
     criterion: LocalCriterion,
     cfg: LouvainConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, list[float]]:
     """One full search: level loop, then merge/refine alternation."""
-    level = _Level.from_graph(g)
-    node_map = np.arange(g.n)
-    trace = [_score_labels(g, criterion, level.labels[node_map])]
+    n = sg.g.n
+    level = _Level.from_graph(sg)
+    node_map = np.arange(n)
+    trace = [sg.score(criterion, node_map)]
 
     while True:
-        _run_passes(g, criterion, level, node_map, cfg, rng, trace)
+        _run_passes(sg, criterion, level, node_map, cfg, rng, trace)
         next_level, old_to_new = level.aggregate()
         if len(next_level.adj) == len(level.adj):
             break
@@ -623,20 +660,20 @@ def _single_run(
     # original resolution until neither phase finds a gain; refinement also
     # restores single-node optimality for actual nodes, not just
     # super-nodes.
-    labels = Partition.from_labels(level.labels[node_map]).labels.copy()
-    identity = np.arange(g.n)
+    labels = Partition.from_labels(np.asarray(level.labels)[node_map]).labels.copy()
+    identity = np.arange(n)
     while True:
-        labels, merges = _merge_classes(g, criterion, labels, cfg.min_gain)
+        labels, merges = _merge_classes(sg, criterion, labels, cfg.min_gain)
         if merges:
-            trace.append(_score_labels(g, criterion, labels))
-        refine = _Level.from_partition(g, labels)
-        moves = _run_passes(g, criterion, refine, identity, cfg, rng, trace)
-        labels = refine.labels
+            trace.append(sg.score(criterion, labels))
+        refine = _Level.from_partition(sg, labels)
+        moves = _run_passes(sg, criterion, refine, identity, cfg, rng, trace)
+        labels = np.asarray(refine.labels)
         if merges == 0 and moves == 0:
-            if g.n <= _ESCAPE_CAP:
-                labels, improved = _escape_pass(g, criterion, labels, cfg.min_gain)
+            if n <= _ESCAPE_CAP:
+                labels, improved = _escape_pass(sg, criterion, labels, cfg.min_gain)
                 if improved:
-                    trace.append(_score_labels(g, criterion, labels))
+                    trace.append(sg.score(criterion, labels))
                     continue
             break
     return labels, trace
@@ -666,6 +703,7 @@ def louvain(
     """
     cfg = cfg if cfg is not None else LouvainConfig()
     _check_graph(g, criterion)
+    sg = _SearchGraph(g)
     master = np.random.default_rng(cfg.seed)
     n_runs = cfg.restarts if cfg.node_order == "shuffled" else 1
     streams = master.spawn(n_runs) if n_runs > 1 else [master]
@@ -673,7 +711,7 @@ def louvain(
     labels: np.ndarray | None = None
     trace: list[float] | None = None
     for stream in streams:
-        run_labels, run_trace = _single_run(g, criterion, cfg, stream)
+        run_labels, run_trace = _single_run(sg, criterion, cfg, stream)
         if trace is None or run_trace[-1] > trace[-1]:
             labels, trace = run_labels, run_trace
     score = trace[-1]
@@ -682,14 +720,14 @@ def louvain(
     # The single-class partition scores exactly 0; greedy descent from
     # singletons can stall below it, so fall back when it wins.
     all_in_one = np.zeros(g.n, dtype=np.int64)
-    score_one = _score_labels(g, criterion, all_in_one)
+    score_one = sg.score(criterion, all_in_one)
     if score_one > score:
-        fallback = _Level.from_partition(g, all_in_one)
+        fallback = _Level.from_partition(sg, all_in_one)
         fb_trace = [score_one]
-        _run_passes(g, criterion, fallback, identity, cfg, master, fb_trace)
+        _run_passes(sg, criterion, fallback, identity, cfg, master, fb_trace)
         if fb_trace[-1] > score:
             trace.extend(fb_trace)
-            labels = fallback.labels
+            labels = np.asarray(fallback.labels)
             score = fb_trace[-1]
 
     part = Partition.from_labels(labels)

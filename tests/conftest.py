@@ -16,6 +16,17 @@ def h_valid_margin_pair(p, q, rng, max_tries=1_000_000):
     raise RuntimeError(f"no H-valid pair found for p={p}, q={q}")
 
 
+def brute_force_score(g, criterion, labels) -> float:
+    """The O(n**2) oracle: the pair criterion summed over all ordered
+    same-class pairs."""
+    return sum(
+        criterion.evaluator(g, i, j)
+        for i in range(g.n)
+        for j in range(g.n)
+        if labels[i] == labels[j]
+    )
+
+
 def skewed_margin(p, rng, min_gap=0.02):
     """A margin noticeably away from uniform."""
     while True:

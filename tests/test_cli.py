@@ -181,6 +181,21 @@ def test_delta_with_monte_carlo(capsys):
     assert payload["manifest"]["seed"] == 7
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["delta", "2", "2", "--samples", "-5"],
+        ["bias-hist", "20", "0.3", "--samples", "-1"],
+        ["bias-hist", "20", "0.3", "--theoretical", "--samples", "-1"],
+    ],
+)
+def test_negative_sample_count_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "--samples: must be >= 0" in capsys.readouterr().err
+
+
 def test_gilbert_deterministic_per_seed(capsys):
     args = ["gilbert", "12", "0.5", "--seed", "3"]
     _, first, _ = run_cli(capsys, args)

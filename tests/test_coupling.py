@@ -31,6 +31,18 @@ def test_validate_margin_rejections():
         cc.validate_margin([0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_margin_rejects_non_finite(bad):
+    with pytest.raises(cc.NonFiniteEntry):
+        cc.validate_margin([bad, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_from_cells_rejects_non_finite(bad):
+    with pytest.raises(cc.NonFiniteEntry):
+        cc.JointDistribution.from_cells(np.array([[0.5, bad], [0.25, 0.25]]))
+
+
 def test_margin_direct_constructor_is_strict():
     cc.Margin(np.array([0.5, 0.5]))
     with pytest.raises(cc.SumNotOne):

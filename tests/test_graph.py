@@ -23,6 +23,24 @@ def test_weighted_graph_validation():
         cc.WeightedGraph(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_weighted_graph_rejects_non_finite_weights(bad, tmp_path):
+    a = np.array([[0.0, bad], [bad, 0.0]])
+    with pytest.raises(cc.NonFiniteEntry):
+        cc.WeightedGraph(a)
+    with pytest.raises(cc.NonFiniteEntry):
+        cc.WeightedGraph(sparse.csr_array(a))
+    with pytest.raises(cc.NonFiniteEntry):
+        cc.WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, bad)])
+    # beyond DENSE_CAP, from_edges takes the sparse branch
+    with pytest.raises(cc.NonFiniteEntry):
+        cc.WeightedGraph.from_edges(cc.DENSE_CAP + 1, [(0, cc.DENSE_CAP, bad)])
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"0\t1\t1.0\n1\t2\t{bad!r}\n")
+    with pytest.raises(cc.NonFiniteEntry):
+        cc.load_edge_list(path)
+
+
 def test_weighted_graph_basic_accessors():
     g = cc.WeightedGraph.from_edges(
         4, [(0, 1, 2.0), (1, 2, 1.0), (3, 3, 5.0)]
@@ -35,7 +53,6 @@ def test_weighted_graph_basic_accessors():
     idx, w = g.neighbors(1)
     npt.assert_array_equal(idx, [0, 2])
     npt.assert_array_equal(w, [2.0, 1.0])
-    npt.assert_array_equal(g.class_row_sums(np.array([0, 1])), [2.0, 2.0])
 
 
 def test_sparse_input_matches_dense():
@@ -48,10 +65,6 @@ def test_sparse_input_matches_dense():
     npt.assert_allclose(sp.degrees, dense.degrees)
     assert sp.total_weight_2m == dense.total_weight_2m
     assert sp.weight(0, 1) == dense.weight(0, 1)
-    members = np.array([2, 5, 7])
-    npt.assert_allclose(
-        sp.class_row_sums(members), dense.class_row_sums(members)
-    )
 
 
 def test_edge_list_round_trip(tmp_path):

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import coupleclust as cc
+from conftest import brute_force_score
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140, 9: 21147}
 
@@ -12,15 +13,6 @@ BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140, 9: 21147}
 def complete_graph(n: int) -> cc.WeightedGraph:
     return cc.WeightedGraph.from_edges(
         n, [(i, j, 1.0) for i in range(n) for j in range(i + 1, n)]
-    )
-
-
-def brute_force_score(g, criterion, labels) -> float:
-    return sum(
-        criterion.evaluator(g, i, j)
-        for i in range(g.n)
-        for j in range(g.n)
-        if labels[i] == labels[j]
     )
 
 
