@@ -62,7 +62,6 @@ from .errors import (
 )
 from .graph import (
     BiasHistogram,
-    DENSE_CAP,
     WeightedGraph,
     bias_bin_edges,
     bias_bounds,
@@ -169,7 +168,6 @@ __all__ = [
     "condorcet_residual",
     "sample_agreement_counts",
     # graph
-    "DENSE_CAP",
     "WeightedGraph",
     "BiasHistogram",
     "gilbert",

@@ -17,8 +17,10 @@ law of ``(a_ij, a_i, a_j)`` under the idealized degree model, histogram
 builders for the bias distributions (theoretical and sampled), and the
 ``eps``-parametrized bias ranges.
 
-Graphs up to ``DENSE_CAP`` nodes are stored dense; larger ones fall back to
-CSR so criterion evaluation never materializes an n x n criterion matrix.
+Each criterion is written once, as its block (class-aggregate) formula
+over node sets I, J; the pair value is that formula on two singletons.
+Every graph is stored as one canonical CSR matrix, whatever its size, so
+criterion evaluation never materializes an n x n criterion matrix.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .errors import (
 )
 
 __all__ = [
-    "DENSE_CAP",
     "WeightedGraph",
     "BiasHistogram",
     "gilbert",
@@ -61,20 +62,21 @@ __all__ = [
     "load_edge_list",
 ]
 
-#: Node-count threshold above which weights are stored as CSR.
-DENSE_CAP = 2048
-
 _SAMPLER_CHUNK = 1024
 
 
 class WeightedGraph:
     """Symmetric nonnegative weight matrix with cached degree data.
 
+    The weights are stored as one read-only canonical CSR matrix: column
+    indices sorted within each row and no explicit zeros, so every stored
+    entry is an edge.
+
     Parameters
     ----------
     weights : numpy.ndarray or scipy.sparse matrix
-        Square symmetric matrix of finite nonnegative reals. Dense input
-        beyond ``DENSE_CAP`` nodes is converted to CSR.
+        Square symmetric matrix of finite nonnegative reals. Dense input is
+        converted to CSR; the caller's matrix is never modified.
 
     Attributes
     ----------
@@ -85,46 +87,26 @@ class WeightedGraph:
         Sum of all entries, i.e. 2M.
     """
 
-    __slots__ = ("_dense", "_csr", "n", "degrees", "total_weight_2m")
+    __slots__ = ("_csr", "n", "degrees", "total_weight_2m")
 
     def __init__(self, weights):
-        if sparse.issparse(weights):
-            mat = sparse.csr_array(weights)
-            if mat.shape[0] != mat.shape[1]:
-                raise DimensionMismatch("weight matrix must be square")
-            if not np.isfinite(mat.data).all():
-                raise NonFiniteEntry("weights must be finite")
-            if mat.nnz and mat.data.min() < 0:
-                raise ValueError("weights must be nonnegative")
-            if (mat - mat.T).nnz and abs((mat - mat.T)).max() > 0:
-                raise ValueError("weights must be symmetric")
-            self._dense = None
-            self._csr = mat
-            self.n = mat.shape[0]
-            degrees = np.asarray(mat.sum(axis=1)).ravel().astype(float)
-        else:
-            arr = np.asarray(weights, dtype=float)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise DimensionMismatch("weight matrix must be square")
-            if not np.isfinite(arr).all():
-                raise NonFiniteEntry("weights must be finite")
-            if arr.size and arr.min() < 0:
-                raise ValueError("weights must be nonnegative")
-            if not np.array_equal(arr, arr.T):
-                raise ValueError("weights must be symmetric")
-            self.n = arr.shape[0]
-            if self.n > DENSE_CAP:
-                self._dense = None
-                self._csr = sparse.csr_array(arr)
-            else:
-                arr = np.ascontiguousarray(arr)
-                arr.flags.writeable = False
-                self._dense = arr
-                self._csr = None
-            degrees = arr.sum(axis=1) if self._dense is not None else np.asarray(
-                self._csr.sum(axis=1)
-            ).ravel().astype(float)
-        degrees = np.ascontiguousarray(degrees, dtype=float)
+        mat = weights if sparse.issparse(weights) else np.asarray(weights, dtype=float)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise DimensionMismatch("weight matrix must be square")
+        mat = sparse.csr_array(mat, dtype=float, copy=True)
+        mat.sum_duplicates()
+        mat.eliminate_zeros()
+        if not np.isfinite(mat.data).all():
+            raise NonFiniteEntry("weights must be finite")
+        if mat.nnz and mat.data.min() < 0:
+            raise ValueError("weights must be nonnegative")
+        if (mat - mat.T).nnz and abs((mat - mat.T)).max() > 0:
+            raise ValueError("weights must be symmetric")
+        for arr in (mat.data, mat.indices, mat.indptr):
+            arr.flags.writeable = False
+        self._csr = mat
+        self.n = mat.shape[0]
+        degrees = np.asarray(mat.sum(axis=1), dtype=float).ravel()
         degrees.flags.writeable = False
         self.degrees = degrees
         self.total_weight_2m = float(degrees.sum())
@@ -146,29 +128,22 @@ class WeightedGraph:
                 rows.append(j)
                 cols.append(i)
                 vals.append(w)
-        mat = sparse.coo_array(
-            (np.asarray(vals, dtype=float), (rows, cols)), shape=(n, n)
-        ).tocsr()
-        if n <= DENSE_CAP:
-            return cls(mat.toarray())
-        return cls(mat)
+        return cls(
+            sparse.coo_array((np.asarray(vals, dtype=float), (rows, cols)), shape=(n, n))
+        )
 
     @property
-    def weights(self):
-        """The stored matrix: dense ndarray up to ``DENSE_CAP``, else CSR."""
-        return self._dense if self._dense is not None else self._csr
+    def weights(self) -> sparse.csr_array:
+        """The stored matrix, as canonical CSR (sorted indices, no explicit
+        zeros). Use ``.toarray()`` for a dense copy."""
+        return self._csr
 
     def weight(self, i: int, j: int) -> float:
-        if self._dense is not None:
-            return float(self._dense[i, j])
         return float(self._csr[i, j])
 
     def neighbors(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Indices and weights of nodes with nonzero weight to ``i``."""
-        if self._dense is not None:
-            row = self._dense[i]
-            idx = np.nonzero(row)[0]
-            return idx, row[idx]
+        """Indices (ascending) and weights of nodes with nonzero weight to
+        ``i``."""
         lo, hi = self._csr.indptr[i], self._csr.indptr[i + 1]
         return self._csr.indices[lo:hi], self._csr.data[lo:hi]
 
@@ -176,14 +151,9 @@ class WeightedGraph:
         """Tab-separated ``i j weight`` lines, each undirected edge once
         (upper triangle plus any diagonal), LF terminated."""
         lines = []
-        if self._dense is not None:
-            iu, iv = np.nonzero(np.triu(self._dense))
-            for i, j in zip(iu.tolist(), iv.tolist()):
-                lines.append(f"{i}\t{j}\t{float(self._dense[i, j])!r}")
-        else:
-            coo = sparse.triu(self._csr).tocoo()
-            for i, j, w in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
-                lines.append(f"{i}\t{j}\t{float(w)!r}")
+        coo = sparse.triu(self._csr).tocoo()
+        for i, j, w in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
+            lines.append(f"{i}\t{j}\t{float(w)!r}")
         return "\n".join(lines) + ("\n" if lines else "")
 
     def save_edge_list(self, path) -> None:
@@ -287,22 +257,42 @@ def _require_edges(g: WeightedGraph) -> float:
     return g.total_weight_2m
 
 
+def independence_block(w_sum, deg_i, deg_j, size_i, size_j, n, two_m):
+    """Independence criterion summed over node blocks I x J:
+    ``w_IJ/2M - D_I * D_J / (2M)**2``, from the total I-J weight ``w_sum``
+    and the degree masses ``deg_*``. Works elementwise on arrays; the sizes
+    and ``n`` are unused but keep one signature for both criteria."""
+    return w_sum / two_m - deg_i * deg_j / (two_m * two_m)
+
+
+def indetermination_block(w_sum, deg_i, deg_j, size_i, size_j, n, two_m):
+    """Indetermination criterion summed over node blocks I x J:
+    ``w_IJ - (|J| D_I + |I| D_J)/n + |I| |J| 2M/n**2``, from the total I-J
+    weight, the degree masses and the node counts ``size_*``. Works
+    elementwise on arrays."""
+    return (
+        w_sum
+        - (size_j * deg_i + size_i * deg_j) / n
+        + size_i * size_j * two_m / (n * n)
+    )
+
+
 def local_independence_criterion(g: WeightedGraph, i: int, j: int) -> float:
-    """Centered edge evidence against the independence null:
-    ``a[i,j]/2M - a_i * a_j / (2M)**2``."""
+    """Centered edge evidence against the independence null,
+    ``a[i,j]/2M - a_i * a_j / (2M)**2``: :func:`independence_block` on the
+    singletons {i}, {j}."""
     two_m = _require_edges(g)
-    return g.weight(i, j) / two_m - g.degrees[i] * g.degrees[j] / (two_m * two_m)
+    return independence_block(
+        g.weight(i, j), g.degrees[i], g.degrees[j], 1, 1, g.n, two_m
+    )
 
 
 def local_indetermination_criterion(g: WeightedGraph, i: int, j: int) -> float:
-    """Centered edge evidence against the indetermination null:
-    ``a[i,j] - a_i/n - a_j/n + 2M/n**2``."""
-    n = g.n
-    return (
-        g.weight(i, j)
-        - g.degrees[i] / n
-        - g.degrees[j] / n
-        + g.total_weight_2m / (n * n)
+    """Centered edge evidence against the indetermination null,
+    ``a[i,j] - a_i/n - a_j/n + 2M/n**2``: :func:`indetermination_block` on
+    the singletons {i}, {j}."""
+    return indetermination_block(
+        g.weight(i, j), g.degrees[i], g.degrees[j], 1, 1, g.n, g.total_weight_2m
     )
 
 

@@ -48,6 +48,8 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyGraph, TooLarge
 from .graph import (
     WeightedGraph,
+    indetermination_block,
+    independence_block,
     local_indetermination_criterion,
     local_independence_criterion,
 )
@@ -128,16 +130,17 @@ class Partition:
 
 @dataclass(frozen=True)
 class LocalCriterion:
-    """A local pair criterion together with its class-aggregate form.
+    """A local pair criterion, defined by its class-aggregate form.
 
-    ``evaluator(g, i, j)`` returns the pair value. ``block_evaluator(w_sum,
-    deg_i, deg_j, size_i, size_j, n, two_m)`` returns
-    ``sum_{i in I, j in J} m(i, j)`` for node blocks I, J from aggregate
-    data only (``w_sum`` the total I-J weight, ``deg_*`` the degree masses,
-    ``size_*`` the node counts); it must be additive in the J-side
-    arguments, which both built-in criteria are. ``needs_total_weight``
-    marks criteria whose formulas divide by 2M, so an edgeless graph is
-    rejected up front.
+    ``block_evaluator(w_sum, deg_i, deg_j, size_i, size_j, n, two_m)``
+    returns ``sum_{i in I, j in J} m(i, j)`` for node blocks I, J from
+    aggregate data only (``w_sum`` the total I-J weight, ``deg_*`` the
+    degree masses, ``size_*`` the node counts); it must be additive in the
+    J-side arguments, which both built-in criteria are, and work
+    elementwise on arrays. ``evaluator(g, i, j)`` returns the pair value;
+    for the built-in criteria it is the block formula on two singletons,
+    not a second copy of it. ``needs_total_weight`` marks criteria whose
+    formulas divide by 2M, so an edgeless graph is rejected up front.
     """
 
     kind: str
@@ -148,32 +151,20 @@ class LocalCriterion:
 
 def independence_criterion() -> LocalCriterion:
     """The criterion subtracting the independence null (degree product)."""
-
-    def block(w_sum, deg_i, deg_j, size_i, size_j, n, two_m):
-        return w_sum / two_m - deg_i * deg_j / (two_m * two_m)
-
     return LocalCriterion(
         kind="independence",
         evaluator=local_independence_criterion,
-        block_evaluator=block,
+        block_evaluator=independence_block,
         needs_total_weight=True,
     )
 
 
 def indetermination_criterion() -> LocalCriterion:
     """The criterion subtracting the indetermination null (degree sum)."""
-
-    def block(w_sum, deg_i, deg_j, size_i, size_j, n, two_m):
-        return (
-            w_sum
-            - (size_j * deg_i + size_i * deg_j) / n
-            + size_i * size_j * two_m / (n * n)
-        )
-
     return LocalCriterion(
         kind="indetermination",
         evaluator=local_indetermination_criterion,
-        block_evaluator=block,
+        block_evaluator=indetermination_block,
         needs_total_weight=False,
     )
 
@@ -253,9 +244,6 @@ def _stored_entries(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarra
     :meth:`WeightedGraph.neighbors` yields them (both triangles, diagonal
     included)."""
     w = g.weights
-    if isinstance(w, np.ndarray):
-        rows, cols = np.nonzero(w)
-        return rows, cols, w[rows, cols]
     return np.repeat(np.arange(g.n), np.diff(w.indptr)), w.indices, w.data
 
 
@@ -530,9 +518,7 @@ def _merge_classes(
     def pair_gains(row_w, deg_a, size_a):
         return 2.0 * block(row_w, deg_a, cls_deg, size_a, cls_size, n, two_m)
 
-    gains = np.empty((k, k))
-    for a in range(k):
-        gains[a] = pair_gains(w[a], cls_deg[a], cls_size[a])
+    gains = pair_gains(w, cls_deg[:, None], cls_size[:, None])
     alive = np.ones(k, dtype=bool)
     mask = np.ones((k, k), dtype=bool)
     np.fill_diagonal(mask, False)
@@ -763,20 +749,24 @@ def exhaustive_best_partition(
     number (115975 at n = 10), so graphs beyond 10 nodes are rejected with
     :class:`TooLarge`. Ties go to the earliest partition in restricted-
     growth order, whose first entry is the single-class partition; since
-    that partition scores 0, the optimum is never negative.
+    that partition scores 0, the optimum is never negative. Scores within
+    ``1e-12 * max(1, |best|)`` of the best count as tied: equal optima
+    can differ in the last bits, since each partition sums its pairs in
+    its own order.
     """
     _check_graph(g, criterion)
     if g.n > 10:
         raise TooLarge(f"exhaustive search capped at 10 nodes, got {g.n}")
     n = g.n
-    c = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            c[i, j] = criterion.evaluator(g, i, j)
+    d = g.degrees
+    c = criterion.block_evaluator(
+        g.weights.toarray(), d[:, None], d[None, :], 1.0, 1.0, n, g.total_weight_2m
+    )
     rows = _restricted_growth_strings(n)
     scores = np.zeros(rows.shape[0])
     for i in range(n):
         for j in range(n):
             scores += c[i, j] * (rows[:, i] == rows[:, j])
-    best = int(np.argmax(scores))
+    top = scores.max()
+    best = int(np.flatnonzero(scores >= top - 1e-12 * max(1.0, abs(top)))[0])
     return Partition.from_labels(rows[best].astype(np.int64)), float(scores[best])

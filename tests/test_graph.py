@@ -32,9 +32,8 @@ def test_weighted_graph_rejects_non_finite_weights(bad, tmp_path):
         cc.WeightedGraph(sparse.csr_array(a))
     with pytest.raises(cc.NonFiniteEntry):
         cc.WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, bad)])
-    # beyond DENSE_CAP, from_edges takes the sparse branch
     with pytest.raises(cc.NonFiniteEntry):
-        cc.WeightedGraph.from_edges(cc.DENSE_CAP + 1, [(0, cc.DENSE_CAP, bad)])
+        cc.WeightedGraph.from_edges(3000, [(0, 2999, bad)])
     path = tmp_path / "bad.tsv"
     path.write_text(f"0\t1\t1.0\n1\t2\t{bad!r}\n")
     with pytest.raises(cc.NonFiniteEntry):
@@ -53,6 +52,23 @@ def test_weighted_graph_basic_accessors():
     idx, w = g.neighbors(1)
     npt.assert_array_equal(idx, [0, 2])
     npt.assert_array_equal(w, [2.0, 1.0])
+
+
+@pytest.mark.parametrize("n", [5, 3000])
+def test_zero_weight_entries_are_not_stored(n):
+    g = cc.WeightedGraph.from_edges(n, [(0, 1, 0.0), (1, 2, 1.0)])
+    idx, w = g.neighbors(0)
+    assert idx.size == 0 and w.size == 0
+    idx, w = g.neighbors(1)
+    npt.assert_array_equal(idx, [2])
+    npt.assert_array_equal(w, [1.0])
+    assert g.weights.nnz == 2
+    # explicit zeros in sparse input are dropped too, without editing it
+    a = sparse.csr_array(
+        (np.array([0.0, 0.0, 1.0, 1.0]), ([0, 1, 1, 2], [1, 0, 2, 1])), shape=(n, n)
+    )
+    assert cc.WeightedGraph(a).weights.nnz == 2
+    assert a.nnz == 4
 
 
 def test_sparse_input_matches_dense():
@@ -75,7 +91,7 @@ def test_edge_list_round_trip(tmp_path):
     g.save_edge_list(path)
     again = cc.load_edge_list(path)
     assert again.n == 5
-    npt.assert_allclose(again.weights, g.weights)
+    npt.assert_allclose(again.weights.toarray(), g.weights.toarray())
 
 
 def test_edge_list_text_format():
@@ -120,7 +136,7 @@ def test_karate_data():
 
 def test_gilbert_statistics():
     g = cc.gilbert(40, 0.3, rng=5)
-    w = np.asarray(g.weights)
+    w = g.weights.toarray()
     assert np.array_equal(w, w.T)
     assert np.all(np.diag(w) == 0)
     edges = g.total_weight_2m / 2

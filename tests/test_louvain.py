@@ -184,6 +184,25 @@ def test_exhaustive_oracle_on_tiny_graphs():
                 assert cc.global_score(g, crit, rand) <= score + 1e-10
 
 
+def test_exhaustive_ties_go_to_earliest_partition():
+    # Several partitions of this graph share the optimum in exact
+    # arithmetic, but their float sums differ in the last bits.
+    from coupleclust.louvain import _restricted_growth_strings
+
+    g = cc.WeightedGraph.from_edges(
+        6, [(0, 1, 1.0), (0, 3, 1.0), (0, 4, 1.0), (2, 3, 1.0), (2, 4, 1.0), (4, 5, 1.0)]
+    )
+    rows = _restricted_growth_strings(g.n)
+    for crit in (cc.independence_criterion(), cc.indetermination_criterion()):
+        scores = np.array([brute_force_score(g, crit, row) for row in rows])
+        top = scores.max()
+        tied = np.flatnonzero(scores >= top - 1e-12 * max(1.0, abs(top)))
+        assert tied.size > 1
+        part, score = cc.exhaustive_best_partition(g, crit)
+        npt.assert_array_equal(part.labels, rows[tied[0]])
+        npt.assert_allclose(score, top, rtol=1e-12, atol=1e-12)
+
+
 def test_exhaustive_size_cap():
     g = complete_graph(11)
     with pytest.raises(cc.TooLarge):

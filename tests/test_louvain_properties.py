@@ -2,7 +2,9 @@
 
 The aggregate scorer is checked against independent oracles: the O(n**2)
 sum of the pair criterion over same-class ordered pairs, and, for the
-independence criterion, Newman modularity as computed by networkx.
+independence criterion, Newman modularity as computed by networkx. The
+greedy search is checked for the optimality its docstring promises: no
+single-node move and no merge of two classes gains more than ``min_gain``.
 """
 
 import numpy as np
@@ -23,12 +25,18 @@ PROPERTY = settings(
 
 @st.composite
 def graphs(draw, max_n=12, self_loops=True):
-    """A small dense weighted graph: each upper-triangle entry is 0 or a
-    positive weight, the diagonal included when ``self_loops``."""
+    """A small weighted graph: a drawn number of upper-triangle entries
+    (the diagonal included when ``self_loops``) carry a positive weight,
+    the rest are 0, so sparse graphs with isolated nodes come up as often
+    as dense ones."""
     n = draw(st.integers(1, max_n))
     iu = np.triu_indices(n, 0 if self_loops else 1)
-    weight = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.05, 4.0))
-    upper = draw(st.lists(weight, min_size=iu[0].size, max_size=iu[0].size))
+    m = draw(st.integers(0, iu[0].size))
+    weight = st.one_of(st.just(1.0), st.floats(0.05, 4.0))
+    upper = np.zeros(iu[0].size)
+    upper[draw(st.permutations(range(iu[0].size)))[:m]] = draw(
+        st.lists(weight, min_size=m, max_size=m)
+    )
     a = np.zeros((n, n))
     a[iu] = upper
     return cc.WeightedGraph(a + np.triu(a, 1).T)
@@ -78,15 +86,16 @@ def test_independence_score_is_networkx_modularity_dense(case):
     nx = pytest.importorskip("networkx")
     g, part = case
     assume(g.total_weight_2m > 0)
+    assert sparse.issparse(g.weights)
     classes = [set(part.members(c).tolist()) for c in range(part.k)]
-    q = nx.community.modularity(nx.from_numpy_array(g.weights), classes)
+    q = nx.community.modularity(nx.from_numpy_array(g.weights.toarray()), classes)
     assert_close(cc.global_score(g, CRITERIA[0], part), q)
 
 
 def test_independence_score_is_networkx_modularity_csr():
     nx = pytest.importorskip("networkx")
     rng = np.random.default_rng(7)
-    n = cc.DENSE_CAP + 52
+    n = 2100
     i = rng.integers(0, n, size=6000)
     j = rng.integers(0, n, size=6000)
     keep = i != j
@@ -101,6 +110,22 @@ def test_independence_score_is_networkx_modularity_csr():
 
 
 @PROPERTY
+@given(graphs_with_labels(), st.sampled_from(CRITERIA), st.randoms(use_true_random=False))
+def test_score_ignores_node_relabelling(case, criterion, random):
+    g, part = case
+    assume(g.total_weight_2m > 0)
+    perm = np.array(random.sample(range(g.n), g.n))
+    a = np.zeros((g.n, g.n))
+    a[np.ix_(perm, perm)] = g.weights.toarray()
+    labels = np.empty(g.n, dtype=np.int64)
+    labels[perm] = part.labels
+    assert_close(
+        cc.global_score(cc.WeightedGraph(a), criterion, cc.Partition.from_labels(labels)),
+        cc.global_score(g, criterion, part),
+    )
+
+
+@PROPERTY
 @given(graphs(), st.sampled_from(CRITERIA), st.integers(0, 2**32 - 1))
 def test_louvain_trace_never_decreases(g, criterion, seed):
     assume(g.total_weight_2m > 0)
@@ -110,3 +135,48 @@ def test_louvain_trace_never_decreases(g, criterion, seed):
         assert after >= before - 1e-12 * max(1.0, abs(before)), trace
     assert trace[-1] == result.score
     assert_close(result.score, cc.global_score(g, criterion, result.partition))
+
+
+def one_node_moves(labels, k):
+    """Every labelling that moves one node to another class, or alone into
+    a fresh class ``k`` when it has company."""
+    for node, own in enumerate(labels.tolist()):
+        alone = np.count_nonzero(labels == own) == 1
+        for dst in range(k + (0 if alone else 1)):
+            if dst != own:
+                moved = labels.copy()
+                moved[node] = dst
+                yield moved
+
+
+def two_class_merges(labels, k):
+    """Every labelling that unites two classes."""
+    for a in range(k):
+        for b in range(a + 1, k):
+            yield np.where(labels == b, a, labels)
+
+
+def assert_no_neighbour_gains(g, criterion, seed, neighbours):
+    assume(g.total_weight_2m > 0)
+    cfg = cc.LouvainConfig(seed=seed, restarts=2)
+    result = cc.louvain(g, criterion, cfg)
+    score = cc.global_score(g, criterion, result.partition)
+    # the score is recomputed in another summation order, so allow for
+    # rounding on top of min_gain
+    bound = score + cfg.min_gain + 1e-12 * max(1.0, abs(score))
+    labels = result.partition.labels
+    for other in neighbours(labels, result.partition.k):
+        moved = cc.global_score(g, criterion, cc.Partition.from_labels(other))
+        assert moved <= bound, (labels, other, moved, score)
+
+
+@PROPERTY
+@given(graphs(max_n=10), st.sampled_from(CRITERIA), st.integers(0, 2**32 - 1))
+def test_louvain_result_is_single_node_optimal(g, criterion, seed):
+    assert_no_neighbour_gains(g, criterion, seed, one_node_moves)
+
+
+@PROPERTY
+@given(graphs(max_n=10), st.sampled_from(CRITERIA), st.integers(0, 2**32 - 1))
+def test_louvain_result_is_merge_stable(g, criterion, seed):
+    assert_no_neighbour_gains(g, criterion, seed, two_class_merges)
