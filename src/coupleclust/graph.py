@@ -62,8 +62,6 @@ __all__ = [
     "load_edge_list",
 ]
 
-_SAMPLER_CHUNK = 1024
-
 
 class WeightedGraph:
     """Symmetric nonnegative weight matrix with cached degree data.
@@ -100,7 +98,9 @@ class WeightedGraph:
             raise NonFiniteEntry("weights must be finite")
         if mat.nnz and mat.data.min() < 0:
             raise ValueError("weights must be nonnegative")
-        if (mat - mat.T).nnz and abs((mat - mat.T)).max() > 0:
+        t = mat.T.tocsr()  # canonical too, so equal arrays mean equal matrices
+        pairs = zip((mat.indptr, mat.indices, mat.data), (t.indptr, t.indices, t.data))
+        if not all(np.array_equal(x, y) for x, y in pairs):
             raise ValueError("weights must be symmetric")
         for arr in (mat.data, mat.indices, mat.indptr):
             arr.flags.writeable = False
@@ -117,20 +117,29 @@ class WeightedGraph:
 
         Each undirected edge appears once; the matrix is symmetrized.
         """
-        if n < 0:
-            raise NonPositiveDimension("n must be >= 0")
         rows, cols, vals = [], [], []
         for i, j, w in edges:
             rows.append(i)
             cols.append(j)
             vals.append(w)
-            if i != j:
-                rows.append(j)
-                cols.append(i)
-                vals.append(w)
-        return cls(
-            sparse.coo_array((np.asarray(vals, dtype=float), (rows, cols)), shape=(n, n))
-        )
+        return cls._from_arrays(n, rows, cols, vals)
+
+    @classmethod
+    def _from_arrays(cls, n: int, rows, cols, vals) -> "WeightedGraph":
+        """Build from index and weight arrays, each undirected edge once;
+        off-diagonal entries are mirrored here. Node indices must be
+        integers."""
+        if n < 0:
+            raise NonPositiveDimension("n must be >= 0")
+        idx = [np.asarray(a) for a in (rows, cols)]
+        if any(a.size and a.dtype.kind not in "iu" for a in idx):
+            raise ValueError("node indices must be integers")
+        rows, cols = (a.astype(np.int64, copy=False) for a in idx)
+        vals = np.asarray(vals, dtype=float)
+        off = rows != cols
+        i, j = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
+        data = np.concatenate([vals, vals[off]])
+        return cls(sparse.coo_array((data, (i, j)), shape=(n, n)))
 
     @property
     def weights(self) -> sparse.csr_array:
@@ -213,15 +222,15 @@ def gilbert(
 ) -> WeightedGraph:
     """Gilbert random graph: each of the n(n-1)/2 node pairs carries an
     edge of weight 1 independently with probability ``eps``. No self-loops.
+
+    One uniform is drawn per pair in upper-triangle row-major order, which
+    fixes the seed-to-graph mapping; memory is O(n + m) for m edges.
     """
     if n < 1:
         raise NonPositiveDimension("n must be >= 1")
     _check_eps(eps)
     rng = np.random.default_rng(rng)
-    iu, iv = np.triu_indices(n, 1)
-    draw = rng.random(iu.size) < eps
-    edges = [(int(i), int(j), 1.0) for i, j in zip(iu[draw], iv[draw])]
-    return WeightedGraph.from_edges(n, edges)
+    return _upper_triangle_graph(n, lambda k: rng.random(k) < eps)
 
 
 def gilbert_weighted(
@@ -235,6 +244,8 @@ def gilbert_weighted(
 
     ``max_weight=1`` reduces to the same edge distribution as
     :func:`gilbert` (though the two consume the random stream differently).
+    Pairs are drawn in the same order as in :func:`gilbert`, so a seed
+    always gives the same graph; memory is O(n + m) for m edges.
     """
     if n < 1:
         raise NonPositiveDimension("n must be >= 1")
@@ -242,13 +253,22 @@ def gilbert_weighted(
         raise NonPositiveDimension("max_weight must be >= 1")
     _check_eps(eps)
     rng = np.random.default_rng(rng)
-    iu, iv = np.triu_indices(n, 1)
-    w = rng.binomial(max_weight, eps, size=iu.size)
-    nz = w > 0
-    edges = [
-        (int(i), int(j), float(x)) for i, j, x in zip(iu[nz], iv[nz], w[nz])
-    ]
-    return WeightedGraph.from_edges(n, edges)
+    return _upper_triangle_graph(n, lambda k: rng.binomial(max_weight, eps, size=k))
+
+
+def _upper_triangle_graph(n: int, draw) -> WeightedGraph:
+    """Graph whose pair (i, j), i < j, has weight ``draw(k)[j - i - 1]`` for
+    the k = n-1-i values drawn for row i. Rows are drawn in order, which
+    consumes the random stream exactly as one draw over all pairs in
+    upper-triangle row-major order would, without its O(n**2) arrays."""
+    rows, cols, vals = [], [], []
+    for i in range(n):  # the last row draws nothing but keeps the lists nonempty
+        w = draw(n - 1 - i)
+        nz = np.flatnonzero(w)
+        rows.append(np.full(nz.size, i))
+        cols.append(nz + (i + 1))
+        vals.append(w[nz])
+    return WeightedGraph._from_arrays(n, *map(np.concatenate, (rows, cols, vals)))
 
 
 def _require_edges(g: WeightedGraph) -> float:
@@ -497,48 +517,26 @@ def _bias_stream(
     rng: np.random.Generator,
     use_realized_2m: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample ``m`` (b_x, b_+, b_+ - b_x) triples, one random ordered node
-    pair from each of ``m`` fresh Gilbert graphs. Samples whose graph came
-    up empty are dropped from the ``b_x`` and difference arrays (the ratio
-    is undefined there)."""
-    iu, iv = np.triu_indices(n, 1)
-    n_pairs = iu.size
-    incidence = np.zeros((n_pairs, n))
-    rows = np.arange(n_pairs)
-    incidence[rows, iu] = 1.0
-    incidence[rows, iv] = 1.0
-    edge_of = np.zeros((n, n), dtype=np.int64)
-    edge_of[iu, iv] = rows
-    edge_of[iv, iu] = rows
-
-    times_parts: list[np.ndarray] = []
-    plus_parts: list[np.ndarray] = []
-    diff_parts: list[np.ndarray] = []
-    remaining = m
-    while remaining > 0:
-        batch = min(_SAMPLER_CHUNK, remaining)
-        remaining -= batch
-        bern = (rng.random((batch, n_pairs)) < eps).astype(float)
-        deg = bern @ incidence
-        two_m = 2.0 * bern.sum(axis=1)
-        i = rng.integers(0, n, size=batch)
-        j = rng.integers(0, n - 1, size=batch)
-        j = j + (j >= i)
-        sel = np.arange(batch)
-        d_i = deg[sel, i]
-        d_j = deg[sel, j]
-        m2 = two_m if use_realized_2m else np.full(batch, n * n * eps)
-        plus = d_i / n + d_j / n - m2 / (n * n)
-        plus_parts.append(plus)
-        nonempty = m2 > 0
-        times = d_i[nonempty] * d_j[nonempty] / m2[nonempty]
-        times_parts.append(times)
-        diff_parts.append(plus[nonempty] - times)
-    return (
-        np.concatenate(times_parts),
-        np.concatenate(plus_parts),
-        np.concatenate(diff_parts),
-    )
+    """Sample ``m`` (b_x, b_+, b_+ - b_x) triples, each for a random ordered
+    pair (i, j) of a fresh Gilbert graph, from the joint law of the only
+    numbers the biases read: ``a_ij ~ Bern(eps)``, ``a_i = a_ij + X_i``,
+    ``a_j = a_ij + X_j`` and ``2M = 2(a_ij + X_i + X_j + R)``, with
+    independent ``X_i, X_j ~ Bin(n-2, eps)`` (edges to the other n-2 nodes)
+    and ``R ~ Bin(C(n-2, 2), eps)`` (edges among them). Samples whose graph
+    came up empty are dropped from the ``b_x`` and difference arrays (the
+    ratio is undefined there)."""
+    a_ij = (rng.random(m) < eps).astype(float)
+    x_i = rng.binomial(n - 2, eps, size=m)
+    x_j = rng.binomial(n - 2, eps, size=m)
+    rest = rng.binomial((n - 2) * (n - 3) // 2, eps, size=m)
+    d_i = a_ij + x_i
+    d_j = a_ij + x_j
+    edges = a_ij + x_i + x_j + rest
+    m2 = 2.0 * edges if use_realized_2m else np.full(m, n * n * eps)
+    plus = d_i / n + d_j / n - m2 / (n * n)
+    nonempty = m2 > 0
+    times = d_i[nonempty] * d_j[nonempty] / m2[nonempty]
+    return times, plus, plus[nonempty] - times
 
 
 def empirical_bias_samples(
@@ -553,6 +551,8 @@ def empirical_bias_samples(
 
     For each of ``samples`` independent Gilbert(n, eps) graphs, one ordered
     node pair (i, j), i != j, is drawn uniformly and both biases recorded.
+    No graph is built: the edge ``a_ij``, the two degrees and ``2M`` are
+    drawn from their exact joint law, O(1) per sample whatever ``n``.
 
     Parameters
     ----------
@@ -591,10 +591,7 @@ def empirical_bias_samples(
         rng,
         n_streams,
     )
-    times = np.concatenate([c[0] for c in chunks])
-    plus = np.concatenate([c[1] for c in chunks])
-    diff = np.concatenate([c[2] for c in chunks])
-    return times, plus, diff
+    return tuple(np.concatenate(parts) for parts in zip(*chunks))
 
 
 def empirical_bias_histogram(

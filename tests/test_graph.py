@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy import sparse
-from scipy.stats import binom
+from scipy.stats import binom, chisquare
 
 import coupleclust as cc
 
@@ -21,6 +21,14 @@ def test_weighted_graph_validation():
         cc.WeightedGraph(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     with pytest.raises(ValueError):
         cc.WeightedGraph(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    # sparse input: symmetric pattern with asymmetric values, then an
+    # asymmetric pattern
+    with pytest.raises(ValueError):
+        cc.WeightedGraph(sparse.csr_array(np.array([[0.0, 1.0], [2.0, 0.0]])))
+    with pytest.raises(ValueError):
+        cc.WeightedGraph(sparse.csr_array(np.array([[0.0, 1.0], [0.0, 0.0]])))
+    with pytest.raises(ValueError, match="integers"):
+        cc.WeightedGraph.from_edges(3, [(1.9, 2, 1.0)])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -160,6 +168,33 @@ def test_gilbert_weighted_statistics():
     n_pairs = 60 * 59 // 2
     sd = np.sqrt(n_pairs * 0.4 * 0.6)
     assert abs(e1 - e2) <= 5 * np.sqrt(2) * sd
+
+
+def test_gilbert_seed_to_graph_mapping_is_pinned():
+    # one draw per pair in upper-triangle row-major order; changing that
+    # order changes every seeded graph (and the criteria runs built on them)
+    assert cc.gilbert(8, 0.5, rng=0).edge_list_text() == (
+        "0\t2\t1.0\n0\t3\t1.0\n0\t4\t1.0\n1\t6\t1.0\n2\t3\t1.0\n2\t5\t1.0\n"
+        "3\t4\t1.0\n3\t5\t1.0\n3\t6\t1.0\n3\t7\t1.0\n5\t6\t1.0\n"
+    )
+    assert cc.gilbert_weighted(6, 0.5, 3, rng=0).edge_list_text() == (
+        "0\t1\t2.0\n0\t2\t1.0\n0\t5\t2.0\n1\t2\t3.0\n1\t3\t2.0\n1\t4\t2.0\n"
+        "1\t5\t2.0\n2\t3\t3.0\n2\t4\t2.0\n3\t4\t2.0\n4\t5\t2.0\n"
+    )
+    # reference: one draw over all pairs at once
+    for n in (1, 2, 5, 40):
+        iu, iv = np.triu_indices(n, 1)
+        for eps in (0.0, 0.3, 1.0):
+            for graph, draw in (
+                (cc.gilbert(n, eps, rng=3), lambda r: r.random(iu.size) < eps),
+                (
+                    cc.gilbert_weighted(n, eps, 4, rng=3),
+                    lambda r: r.binomial(4, eps, iu.size),
+                ),
+            ):
+                upper = np.zeros((n, n))
+                upper[iu, iv] = draw(np.random.default_rng(3))
+                npt.assert_array_equal(graph.weights.toarray(), upper + upper.T)
 
 
 def test_local_criteria_against_direct_formulas():
@@ -443,6 +478,48 @@ def test_empirical_shapes_of_the_two_bias_laws_agree():
     assert heavy.sum() >= 5
     rel = np.abs(times.counts[heavy] - plus.counts[heavy]) / plus.counts[heavy]
     assert rel.max() <= 0.20
+
+
+def _exact_bias_law(n, eps, use_realized_2m):
+    """Law of (b_x, b_+) for the ordered pair (0, 1), by enumerating every
+    Gilbert(n, eps) graph; an empty graph (no b_x) is the key ``"empty"``."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    law = {}
+    for mask in range(2 ** len(pairs)):
+        edges = [p for k, p in enumerate(pairs) if mask >> k & 1]
+        d0 = sum(0 in p for p in edges)
+        d1 = sum(1 in p for p in edges)
+        two_m = 2.0 * len(edges) if use_realized_2m else n * n * eps
+        prob = eps ** len(edges) * (1 - eps) ** (len(pairs) - len(edges))
+        plus = d0 / n + d1 / n - two_m / (n * n)
+        key = _bias_key(d0 * d1 / two_m, plus) if two_m else "empty"
+        law[key] = law.get(key, 0.0) + prob
+    return law
+
+
+def _bias_key(times, plus):
+    return (round(float(times), 9), round(float(plus), 9))
+
+
+@pytest.mark.parametrize("use_realized_2m", [True, False])
+def test_empirical_bias_samples_follow_the_exact_law(use_realized_2m):
+    # chi-square goodness of fit of the sampled (b_x, b_+) pairs against
+    # the law of a whole Gilbert graph, enumerated at n=5. Threshold fixed
+    # in advance.
+    n, eps, samples = 5, 0.4, 20_000
+    law = _exact_bias_law(n, eps, use_realized_2m)
+    times, plus, diff = cc.empirical_bias_samples(
+        n, eps, samples, rng=11, use_realized_2m=use_realized_2m
+    )
+    observed = {"empty": plus.size - times.size}
+    for key in map(_bias_key, times, times + diff):
+        observed[key] = observed.get(key, 0) + 1
+    assert set(observed) - {"empty"} <= set(law)
+    keys = sorted(law, key=law.get)
+    expected = np.array([samples * law[k] for k in keys])
+    counts = np.array([observed.get(k, 0) for k in keys])
+    assert expected.min() >= 5  # every category is large enough for chi-square
+    assert chisquare(counts, expected).pvalue > 1e-3
 
 
 def test_empirical_bias_input_validation():
