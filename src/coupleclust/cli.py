@@ -1,11 +1,15 @@
 """Command-line interface.
 
 Every run that writes to a file also writes a sibling run manifest
-(``<out>.manifest.json``) recording the command, parameters, seed, output
-paths and tool version, so any artifact can be traced back to the exact
+(``<out>.manifest.json``), so any artifact can be traced back to the exact
 invocation that produced it. JSON written to stdout embeds the same record
 under a ``"manifest"`` key; CSV and edge-list output to stdout carries no
-manifest (the formats have no place for one).
+manifest (the formats have no place for one). The manifest fields are
+``command``; ``parameters``, every parsed argument except ``--seed`` and
+``--out`` (``input`` reads ``"karate"`` under ``--karate``); ``seed``,
+null for subcommands without one; ``output_paths``; ``tool_version``;
+``environment``, the Python, numpy and scipy versions; and ``elapsed_s``,
+the wall time of the command in seconds, writing the output excluded.
 
 Errors of any kind are reported as a single JSON line on stderr, e.g.::
 
@@ -42,9 +46,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
-from dataclasses import dataclass, field
+import time
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 from . import __version__
 from .coupling import (
@@ -79,53 +87,47 @@ from .relational import condorcet_residual
 __all__ = ["main"]
 
 
-@dataclass
-class RunManifest:
-    """Provenance record attached to every artifact-producing run."""
-
-    command: str
-    parameters: dict
-    seed: int | None = None
-    output_paths: list[str] = field(default_factory=list)
-    tool_version: str = __version__
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "output_paths": self.output_paths,
-            "tool_version": self.tool_version,
-        }
+# Parsed arguments kept out of ``parameters``: argparse plumbing, and the
+# ones the manifest records as ``seed``, ``output_paths`` and ``input``.
+_NOT_PARAMETERS = ("command", "func", "out", "seed", "karate")
 
 
 def _dump(payload: dict) -> str:
     return json.dumps(payload, indent=2, default=float)
 
 
-def _emit_json(payload: dict, out: str | None, manifest: RunManifest) -> None:
-    if out:
-        manifest.output_paths = [out, out + ".manifest.json"]
-        Path(out).write_text(_dump(payload) + "\n")
-        Path(out + ".manifest.json").write_text(
-            _dump(manifest.to_json_dict()) + "\n"
-        )
+def _emit(args, result: dict | str, elapsed_s: float) -> None:
+    """Write a command's result, a JSON payload or finished text, together
+    with the run manifest derived from the parsed arguments."""
+    parameters = {
+        key: value
+        for key, value in vars(args).items()
+        if key not in _NOT_PARAMETERS
+    }
+    if getattr(args, "karate", False):
+        parameters["input"] = "karate"
+    manifest = {
+        "command": args.command,
+        "parameters": parameters,
+        "seed": getattr(args, "seed", None),
+        "output_paths": [args.out, args.out + ".manifest.json"] if args.out else ["-"],
+        "tool_version": __version__,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
+        "elapsed_s": elapsed_s,
+    }
+    if isinstance(result, dict):
+        if not args.out:
+            result = dict(result, manifest=manifest)
+        result = _dump(result) + "\n"
+    if args.out:
+        Path(args.out).write_text(result)
+        Path(args.out + ".manifest.json").write_text(_dump(manifest) + "\n")
     else:
-        manifest.output_paths = ["-"]
-        payload = dict(payload)
-        payload["manifest"] = manifest.to_json_dict()
-        sys.stdout.write(_dump(payload) + "\n")
-
-
-def _emit_text(text: str, out: str | None, manifest: RunManifest) -> None:
-    if out:
-        manifest.output_paths = [out, out + ".manifest.json"]
-        Path(out).write_text(text)
-        Path(out + ".manifest.json").write_text(
-            _dump(manifest.to_json_dict()) + "\n"
-        )
-    else:
-        sys.stdout.write(text)
+        sys.stdout.write(result)
 
 
 def _load_json_file(path: str) -> dict:
@@ -147,13 +149,13 @@ def _input_graph(args):
     if args.karate and args.input:
         raise ValueError("give either an edge-list file or --karate, not both")
     if args.karate:
-        return load_karate(), "karate"
+        return load_karate()
     if not args.input:
         raise ValueError("an edge-list file (or --karate) is required")
-    return load_edge_list(args.input), args.input
+    return load_edge_list(args.input)
 
 
-def cmd_couple(args) -> int:
+def cmd_couple(args) -> dict:
     mu, nu = _read_margins(args.margins)
     if args.kind == "independence":
         pi = couple_independence(mu, nu)
@@ -161,47 +163,31 @@ def cmd_couple(args) -> int:
         pi = couple_indetermination(mu, nu)
     payload = pi.to_json_dict()
     payload["kind"] = args.kind
-    manifest = RunManifest(
-        command="couple",
-        parameters={"margins": args.margins, "kind": args.kind},
-    )
-    _emit_json(payload, args.out, manifest)
-    return 0
+    return payload
 
 
-def cmd_monge_check(args) -> int:
+def cmd_monge_check(args) -> dict:
     pi = _read_joint(args.joint)
     basic = monge_report(pi.cells, tol=args.tol)
     theorems = verify_monge_theorems(pi, tol=args.tol)
-    payload = {
+    return {
         "tol": args.tol,
         "structure": basic.to_json_dict(),
         "theorems": theorems.to_json_dict(),
     }
-    manifest = RunManifest(
-        command="monge-check", parameters={"joint": args.joint, "tol": args.tol}
-    )
-    _emit_json(payload, args.out, manifest)
-    return 0
 
 
-def cmd_condorcet_check(args) -> int:
+def cmd_condorcet_check(args) -> dict:
     pi = _read_joint(args.joint)
     residual = condorcet_residual(pi)
-    payload = {
+    return {
         "residual": residual,
         "is_indetermination_coupling": bool(residual <= args.tol),
         "tol": args.tol,
     }
-    manifest = RunManifest(
-        command="condorcet-check",
-        parameters={"joint": args.joint, "tol": args.tol},
-    )
-    _emit_json(payload, args.out, manifest)
-    return 0
 
 
-def cmd_delta(args) -> int:
+def cmd_delta(args) -> dict:
     closed = delta_closed_form(args.p, args.q)
     payload = {"p": args.p, "q": args.q, "closed_form": closed}
     if args.samples > 0:
@@ -209,35 +195,18 @@ def cmd_delta(args) -> int:
             args.p, args.q, args.samples, rng=args.seed, n_streams=args.streams
         )
         payload["monte_carlo"] = est.to_json_dict()
-    manifest = RunManifest(
-        command="delta",
-        parameters={
-            "p": args.p,
-            "q": args.q,
-            "samples": args.samples,
-            "streams": args.streams,
-        },
-        seed=args.seed,
-    )
-    _emit_json(payload, args.out, manifest)
-    return 0
+    return payload
 
 
-def cmd_gilbert(args) -> int:
+def cmd_gilbert(args) -> str:
     if args.max_weight is not None:
         g = gilbert_weighted(args.n, args.eps, args.max_weight, rng=args.seed)
     else:
         g = gilbert(args.n, args.eps, rng=args.seed)
-    manifest = RunManifest(
-        command="gilbert",
-        parameters={"n": args.n, "eps": args.eps, "max_weight": args.max_weight},
-        seed=args.seed,
-    )
-    _emit_text(g.edge_list_text(), args.out, manifest)
-    return 0
+    return g.edge_list_text()
 
 
-def cmd_bias_hist(args) -> int:
+def cmd_bias_hist(args) -> str:
     if args.theoretical:
         if args.which == "difference":
             hist = theoretical_bias_difference_distribution(
@@ -269,54 +238,25 @@ def cmd_bias_hist(args) -> int:
         hist = times if args.which == "independence" else plus
     rows = ["bin_low,bin_high,count"]
     rows += [f"{lo!r},{hi!r},{c!r}" for lo, hi, c in hist.csv_rows()]
-    manifest = RunManifest(
-        command="bias-hist",
-        parameters={
-            "n": args.n,
-            "eps": args.eps,
-            "which": args.which,
-            "bins": args.bins,
-            "samples": args.samples,
-            "theoretical": args.theoretical,
-            "expected_2m": args.expected_2m,
-            "streams": args.streams,
-        },
-        seed=args.seed,
-    )
-    _emit_text("\n".join(rows) + "\n", args.out, manifest)
-    return 0
+    return "\n".join(rows) + "\n"
 
 
-def cmd_cluster(args) -> int:
-    g, source = _input_graph(args)
+def cmd_cluster(args) -> dict:
+    g = _input_graph(args)
     criterion = criterion_by_name(args.criterion)
-    result = louvain(g, criterion, LouvainConfig(seed=args.seed))
-    payload = result.to_json_dict()
-    manifest = RunManifest(
-        command="cluster",
-        parameters={"input": source, "criterion": args.criterion},
-        seed=args.seed,
-    )
-    _emit_json(payload, args.out, manifest)
-    return 0
+    return louvain(g, criterion, LouvainConfig(seed=args.seed)).to_json_dict()
 
 
-def cmd_best_exhaustive(args) -> int:
-    g, source = _input_graph(args)
+def cmd_best_exhaustive(args) -> dict:
+    g = _input_graph(args)
     criterion = criterion_by_name(args.criterion)
     partition, score = exhaustive_best_partition(g, criterion)
-    payload = {
+    return {
         "labels": [int(x) for x in partition.labels],
         "k": partition.k,
         "score": score,
         "criterion": criterion.kind,
     }
-    manifest = RunManifest(
-        command="best-exhaustive",
-        parameters={"input": source, "criterion": args.criterion},
-    )
-    _emit_json(payload, args.out, manifest)
-    return 0
 
 
 def _count(text: str) -> int:
@@ -478,16 +418,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        start = time.perf_counter()
+        result = args.func(args)
+        _emit(args, result, time.perf_counter() - start)
     except (CoupleclustError, ValueError, KeyError, OSError) as exc:
-        line = json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)}
-        )
-        print(line, file=sys.stderr)
+        error = {"error": type(exc).__name__, "message": str(exc)}
+        print(json.dumps(error), file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

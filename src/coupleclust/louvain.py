@@ -379,16 +379,32 @@ class _Level:
         return _Level(new_adj, new_self, new_deg, new_size), old_to_new
 
 
-def _node_terms(
-    level: _Level, node: int, block: Callable[..., float], n: int, two_m: float
-) -> tuple[dict[int, float], float]:
-    """The move-gain kernel: the node's weight to each class it touches, and
-    its stay term ``base``, the block value against the rest of its class.
+def _best_move(
+    level: _Level,
+    node: int,
+    block: Callable[..., float],
+    n: int,
+    two_m: float,
+    classes: list[int] | None = None,
+) -> tuple[float, int]:
+    """The move-gain kernel: the best class for ``node`` and the gain of
+    moving it there.
 
-    Moving the node to class ``b`` gains
-    ``2 * (block(w_by_class.get(b, 0), d, cls_deg[b], s, cls_size[b], n, two_m) - base)``.
+    Moving the node (degree mass ``d``, size ``s``) from class ``a`` to
+    class ``b`` gains ``2 * (block(w_b, d, D_b, s, S_b) - base)``, where
+    ``base = block(w_a, d, D_a - d, s, S_a - s)`` is its stay term, ``w_c``
+    its weight to class ``c`` and ``D_c``, ``S_c`` the class degree mass
+    and size (``n`` and ``two_m`` are passed on to ``block``).
+
+    Candidates are ``classes`` in the given order, then a fresh class if
+    the node is not alone; the first best one wins. Without ``classes``
+    the candidates are the node's neighbour classes in ascending order and
+    staying put (gain 0, class ``a``) is the move to beat; with ``classes``
+    the best move is returned whatever the sign of its gain, or
+    ``(-inf, -1)`` if there is no candidate.
     """
     labels = level.labels
+    cls_deg, cls_size = level.cls_deg, level.cls_size
     a = labels[node]
     d = level.deg[node]
     s = level.size[node]
@@ -397,20 +413,39 @@ def _node_terms(
     for j, w in level.adj[node].items():
         c = labels[j]
         w_by_class[c] = get(c, 0.0) + w
-    base = block(
-        get(a, 0.0), d, level.cls_deg[a] - d, s, level.cls_size[a] - s, n, two_m
-    )
-    return w_by_class, base
+    base = block(get(a, 0.0), d, cls_deg[a] - d, s, cls_size[a] - s, n, two_m)
+    if classes is None:
+        classes = sorted(w_by_class)
+        best_gain, best_class = 0.0, a
+    else:
+        best_gain, best_class = -math.inf, -1
+    for b in classes:
+        if b == a:
+            continue
+        gain = 2.0 * (
+            block(get(b, 0.0), d, cls_deg[b], s, cls_size[b], n, two_m) - base
+        )
+        if gain > best_gain:
+            best_gain, best_class = gain, b
+    # A fresh class is a candidate unless the node is alone (moving it to a
+    # new empty class would be a no-op); the O(k) search for an empty class
+    # runs only when the fresh class wins.
+    if cls_size[a] > s:
+        gain = 2.0 * (block(0.0, d, 0.0, s, 0.0, n, two_m) - base)
+        if gain > best_gain and 0.0 in cls_size:
+            best_gain, best_class = gain, cls_size.index(0.0)
+    return best_gain, best_class
 
 
 def _move(level: _Level, node: int, dst: int) -> int:
-    """Reassign ``node`` to class ``dst``; returns its former class."""
+    """Reassign ``node`` to class ``dst``; returns its former class. An
+    emptied class gets degree mass exactly 0, free of rounding residue."""
     src = level.labels[node]
     d = level.deg[node]
     s = level.size[node]
     level.labels[node] = dst
-    level.cls_deg[src] -= d
     level.cls_size[src] -= s
+    level.cls_deg[src] = level.cls_deg[src] - d if level.cls_size[src] else 0.0
     level.cls_deg[dst] += d
     level.cls_size[dst] += s
     return src
@@ -426,34 +461,13 @@ def _move_pass(
 ) -> int:
     """One sweep of single-node moves; returns the number of moves made."""
     block = criterion.block_evaluator
-    labels, deg, size = level.labels, level.deg, level.size
-    cls_deg, cls_size = level.cls_deg, level.cls_size
     moves = 0
     for node in order.tolist():
-        a = labels[node]
-        d = deg[node]
-        s = size[node]
-        w_by_class, base = _node_terms(level, node, block, n, two_m)
-        best_gain = 0.0
-        best_class = a
-        for b in sorted(w_by_class):
-            if b == a:
-                continue
-            gain = 2.0 * (
-                block(w_by_class[b], d, cls_deg[b], s, cls_size[b], n, two_m) - base
-            )
-            if gain > best_gain:
-                best_gain = gain
-                best_class = b
-        # A fresh class is worth considering unless the node is already
-        # alone (moving to a new empty class would be a no-op).
-        if cls_size[a] > s:
-            gain_alone = 2.0 * (block(0.0, d, 0.0, s, 0.0, n, two_m) - base)
-            if gain_alone > best_gain and 0.0 in cls_size:
-                best_gain = gain_alone
-                best_class = cls_size.index(0.0)
-        if best_class != a and best_gain > min_gain:
-            _move(level, node, best_class)
+        # staying put prices at 0 and min_gain >= 0, so a gain above it
+        # is a move to another class
+        gain, b = _best_move(level, node, block, n, two_m)
+        if gain > min_gain:
+            _move(level, node, b)
             moves += 1
     return moves
 
@@ -571,8 +585,7 @@ def _escape_pass(
     canonical labels and whether the kept prefix improved the score.
     """
     level = _Level.from_partition(sg, Partition.from_labels(labels).labels)
-    labels, deg, size = level.labels, level.deg, level.size
-    cls_deg, cls_size = level.cls_deg, level.cls_size
+    cls_size = level.cls_size
     n = sg.g.n
     two_m = sg.g.total_weight_2m
     block = criterion.block_evaluator
@@ -587,26 +600,14 @@ def _escape_pass(
         best_node = -1
         best_class = -1
         nonempty = [c for c, size_c in enumerate(cls_size) if size_c > 0.0]
-        empty = cls_size.index(0.0) if 0.0 in cls_size else -1
         for node in range(n):
             if locked[node]:
                 continue
-            a = labels[node]
-            d = deg[node]
-            s = size[node]
-            w_by_class, base = _node_terms(level, node, block, n, two_m)
-            candidates = [b for b in nonempty if b != a]
-            if cls_size[a] > s and empty >= 0:
-                candidates.append(empty)
-            for b in candidates:
-                gain = 2.0 * (
-                    block(w_by_class.get(b, 0.0), d, cls_deg[b], s, cls_size[b], n, two_m)
-                    - base
-                )
-                if gain > best_gain:
-                    best_gain = gain
-                    best_node = node
-                    best_class = b
+            gain, b = _best_move(level, node, block, n, two_m, nonempty)
+            if gain > best_gain:
+                best_gain = gain
+                best_node = node
+                best_class = b
         if best_node < 0:
             break
         a = _move(level, best_node, best_class)
@@ -619,7 +620,7 @@ def _escape_pass(
 
     for node, src, _dst in reversed(applied[best_len:]):
         _move(level, node, src)
-    return Partition.from_labels(labels).labels.copy(), best_cum > min_gain
+    return Partition.from_labels(level.labels).labels.copy(), best_cum > min_gain
 
 
 def _single_run(

@@ -3,14 +3,20 @@
 Every subcommand is exercised through ``main(argv)`` so the tests see
 exactly what a shell user would: stdout payloads, ``--out`` files with
 sibling manifests, and single-line JSON errors on stderr with exit
-code 1.
+code 1. One test runs ``python -m coupleclust.cli`` as a separate process
+to check the exit statuses across the process boundary.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coupleclust
 from coupleclust.cli import main
 
 
@@ -378,3 +384,131 @@ def test_malformed_edge_list_reports_parse_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["cluster", str(path)])
     assert code == 1
     assert_single_json_error(err, "EdgeListParseError")
+
+
+# (argv, expected manifest parameters, expected seed); ``{dir}`` is the
+# test's tmp_path, where the margins_file and two_triangles_file fixtures
+# write margins.json and triangles.tsv.
+_MANIFEST_CASES = [
+    (
+        ["couple", "{dir}/margins.json", "--kind", "indetermination"],
+        {"margins": "{dir}/margins.json", "kind": "indetermination"},
+        None,
+    ),
+    (
+        ["monge-check", "{dir}/joint.json"],
+        {"joint": "{dir}/joint.json", "tol": 1e-10},
+        None,
+    ),
+    (
+        ["condorcet-check", "{dir}/joint.json", "--tol", "1e-9"],
+        {"joint": "{dir}/joint.json", "tol": 1e-9},
+        None,
+    ),
+    (
+        ["delta", "3", "4", "--samples", "100", "--seed", "5", "--streams", "2"],
+        {"p": 3, "q": 4, "samples": 100, "streams": 2},
+        5,
+    ),
+    (
+        ["gilbert", "6", "0.5", "--max-weight", "3", "--seed", "2"],
+        {"n": 6, "eps": 0.5, "max_weight": 3},
+        2,
+    ),
+    (
+        ["bias-hist", "8", "0.3", "--bins", "10", "--theoretical"],
+        {
+            "n": 8,
+            "eps": 0.3,
+            "which": "indetermination",
+            "bins": 10,
+            "samples": 100_000,
+            "theoretical": True,
+            "expected_2m": False,
+            "streams": 1,
+        },
+        0,
+    ),
+    (
+        ["cluster", "--karate", "--criterion", "indetermination", "--seed", "4"],
+        {"input": "karate", "criterion": "indetermination"},
+        4,
+    ),
+    (
+        ["best-exhaustive", "{dir}/triangles.tsv"],
+        {"input": "{dir}/triangles.tsv", "criterion": "independence"},
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, parameters, seed",
+    _MANIFEST_CASES,
+    ids=[argv[0] for argv, _, _ in _MANIFEST_CASES],
+)
+def test_manifest_records_parsed_arguments(
+    capsys, tmp_path, margins_file, two_triangles_file, argv, parameters, seed
+):
+    joint = {"p": 2, "q": 2, "cells": [[0.42, 0.28], [0.18, 0.12]]}
+    (tmp_path / "joint.json").write_text(json.dumps(joint))
+
+    def expand(value):
+        return value.format(dir=tmp_path) if isinstance(value, str) else value
+
+    out_path = str(tmp_path / "result")
+    argv = [expand(a) for a in argv] + ["--out", out_path]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 0, err
+    manifest = json.loads((tmp_path / "result.manifest.json").read_text())
+    assert list(manifest) == [
+        "command",
+        "parameters",
+        "seed",
+        "output_paths",
+        "tool_version",
+        "environment",
+        "elapsed_s",
+    ]
+    assert manifest["command"] == argv[0]
+    expected = {key: expand(value) for key, value in parameters.items()}
+    assert list(manifest["parameters"].items()) == list(expected.items())
+    assert manifest["seed"] == seed
+    assert manifest["output_paths"] == [out_path, out_path + ".manifest.json"]
+    assert sorted(manifest["environment"]) == ["numpy", "python", "scipy"]
+    assert all(isinstance(v, str) for v in manifest["environment"].values())
+    assert manifest["elapsed_s"] >= 0.0
+
+
+def test_module_entry_point_exit_statuses(tmp_path):
+    """``python -m coupleclust.cli`` as a separate process: exit 0 on
+    success, 1 with one JSON line on stderr for a library error, 2 for a
+    usage error."""
+    env = dict(os.environ)
+    src = str(Path(coupleclust.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "coupleclust.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=tmp_path,
+            timeout=120,
+        )
+
+    ok = run("delta", "2", "2", "--samples", "0")
+    assert ok.returncode == 0, ok.stderr
+    assert json.loads(ok.stdout)["manifest"]["command"] == "delta"
+
+    margins = {"mu": [0.9, 0.1], "nu": [0.9, 0.1]}
+    (tmp_path / "margins.json").write_text(json.dumps(margins))
+    failed = run("couple", "margins.json", "--kind", "indetermination")
+    assert failed.returncode == 1
+    assert failed.stdout == ""
+    assert_single_json_error(failed.stderr, "ConditionHViolated")
+
+    usage = run("delta", "2", "2", "--samples", "-5")
+    assert usage.returncode == 2
+    assert "--samples: must be >= 0" in usage.stderr

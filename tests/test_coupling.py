@@ -31,16 +31,38 @@ def test_validate_margin_rejections():
         cc.validate_margin([0.0, 0.0])
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_validate_margin_rejects_non_finite(bad):
+@pytest.mark.parametrize(
+    "make, bad",
+    [
+        pytest.param(cc.validate_margin, np.nan, id="nan"),
+        pytest.param(cc.validate_margin, np.inf, id="inf"),
+        pytest.param(cc.validate_margin, -np.inf, id="-inf"),
+        pytest.param(cc.Margin, np.nan, id="Margin-nan"),
+        pytest.param(cc.Margin, np.inf, id="Margin-inf"),
+    ],
+)
+def test_validate_margin_rejects_non_finite(make, bad):
     with pytest.raises(cc.NonFiniteEntry):
-        cc.validate_margin([bad, 1.0])
+        make(np.array([bad, 1.0]))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_from_cells_rejects_non_finite(bad):
+def _joint_with_uniform_margins(cells):
+    u = cc.uniform_margin(2)
+    return cc.JointDistribution(cells, u, u)
+
+
+@pytest.mark.parametrize(
+    "make, bad",
+    [
+        pytest.param(cc.JointDistribution.from_cells, np.nan, id="nan"),
+        pytest.param(cc.JointDistribution.from_cells, np.inf, id="inf"),
+        pytest.param(_joint_with_uniform_margins, np.nan, id="direct-nan"),
+        pytest.param(_joint_with_uniform_margins, np.inf, id="direct-inf"),
+    ],
+)
+def test_from_cells_rejects_non_finite(make, bad):
     with pytest.raises(cc.NonFiniteEntry):
-        cc.JointDistribution.from_cells(np.array([[0.5, bad], [0.25, 0.25]]))
+        make(np.array([[0.5, bad], [0.25, 0.25]]))
 
 
 def test_margin_direct_constructor_is_strict():
@@ -189,6 +211,27 @@ def test_delta_monte_carlo_p1_exactly_zero():
     est = cc.delta_monte_carlo(1, 6, 500, rng=0)
     assert est.mean <= 1e-30
     assert est.std_error <= 1e-30
+
+
+@pytest.mark.parametrize("p, q", [(1, 6), (2, 2), (3, 4), (7, 1)])
+def test_delta_stream_matches_cell_wise_distance(p, q):
+    from coupleclust.coupling import _delta_stream
+
+    m = 200
+    d2 = _delta_stream(p, q, m, np.random.default_rng(17))
+    # the same margins, re-drawn from an identically seeded generator
+    rng = np.random.default_rng(17)
+    mu = rng.exponential(size=(m, p))
+    mu /= mu.sum(axis=1, keepdims=True)
+    nu = rng.exponential(size=(m, q))
+    nu /= nu.sum(axis=1, keepdims=True)
+    cell_wise = []
+    for a, b in zip(mu, nu):
+        additive = cc.indetermination_cells(cc.Margin(a), cc.Margin(b))
+        cell_wise.append(((np.outer(a, b) - additive) ** 2).sum())
+    npt.assert_allclose(d2, cell_wise, rtol=0, atol=1e-15)
+    if p == 1 or q == 1:
+        assert np.all(d2 == 0.0)
 
 
 def test_delta_monte_carlo_reproducible_per_seed_and_streams():
