@@ -267,6 +267,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for check tolerances: a finite, nonnegative float."""
+    value = float(text)
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
+    return value
+
+
 def _add_out(sub) -> None:
     sub.add_argument(
         "--out", default=None, help="output file (default: stdout)"
@@ -329,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         "monge-check", help="structure checks and theorem cross-validation"
     )
     s.add_argument("joint", help='JSON file {"p", "q", "cells"}')
-    s.add_argument("--tol", type=float, default=1e-10)
+    s.add_argument("--tol", type=_tolerance, default=1e-10)
     _add_out(s)
     s.set_defaults(func=cmd_monge_check)
 
@@ -338,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="residual from the indetermination coupling of its own margins",
     )
     s.add_argument("joint", help='JSON file {"p", "q", "cells"}')
-    s.add_argument("--tol", type=float, default=1e-12)
+    s.add_argument("--tol", type=_tolerance, default=1e-12)
     _add_out(s)
     s.set_defaults(func=cmd_condorcet_check)
 

@@ -217,6 +217,11 @@ def _check_eps(eps: float, allow_zero: bool = True) -> None:
         raise ZeroEps("eps = 0 leaves the multiplicative bias unbounded")
 
 
+def _check_node_pair(n: int) -> None:
+    if n < 2:
+        raise NonPositiveDimension("need n >= 2 to draw a node pair")
+
+
 def gilbert(
     n: int, eps: float, rng: np.random.Generator | int | None = None
 ) -> WeightedGraph:
@@ -462,6 +467,7 @@ def theoretical_joint_pmf(n: int, eps: float) -> np.ndarray:
 
 def _bias_grids(n: int, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(b_plus, b_times, mass-over-b) grids on the (d_i, d_j) lattice."""
+    _check_node_pair(n)
     mass = theoretical_joint_pmf(n, eps)
     d = np.arange(n + 1, dtype=float)
     di = d[:, None]
@@ -578,8 +584,7 @@ def empirical_bias_samples(
         ``b_diff`` is the paired ``b_plus - b_times`` over those same
         retained samples.
     """
-    if n < 2:
-        raise NonPositiveDimension("need n >= 2 to draw a node pair")
+    _check_node_pair(n)
     if samples < 1:
         raise NonPositiveDimension("samples must be >= 1")
     _check_eps(eps)

@@ -533,7 +533,6 @@ def _merge_classes(
         return 2.0 * block(row_w, deg_a, cls_deg, size_a, cls_size, n, two_m)
 
     gains = pair_gains(w, cls_deg[:, None], cls_size[:, None])
-    alive = np.ones(k, dtype=bool)
     mask = np.ones((k, k), dtype=bool)
     np.fill_diagonal(mask, False)
 
@@ -550,7 +549,6 @@ def _merge_classes(
         w[:, a] += w[:, b]
         cls_deg[a] += cls_deg[b]
         cls_size[a] += cls_size[b]
-        alive[b] = False
         mask[b, :] = False
         mask[:, b] = False
         gains[a] = pair_gains(w[a], cls_deg[a], cls_size[a])

@@ -1,10 +1,11 @@
 """Pairwise-agreement view of partitions and its coupling expectations.
 
 A partition of n items is encoded as the n x n 0/1 matrix
-``X[i, j] = 1 iff i and j share a class`` (an equivalence relation:
-symmetric, reflexive, transitive). Comparing two partitions then reduces to
-the four agreement counts between the matrices and their complements, and a
-weighted balance of those counts characterizes pair-comparison equilibrium.
+``X[i, j] = 1 iff i and j share a class`` (an equivalence relation,
+checked by one O(n**2) comparison). Comparing two partitions reduces to
+four agreement counts, quadratic sums of their contingency table N that take
+O(n log n) once both are decoded; a weighted balance of those counts
+characterizes pair-comparison equilibrium.
 
 When item classes are drawn from a joint distribution ``pi``, the expected
 normalized agreement terms have closed forms in ``pi`` and its margins;
@@ -25,6 +26,7 @@ from .errors import (
     DegenerateDimensions,
     DimensionMismatch,
     NegativeEntry,
+    NonPositiveDimension,
     NotEquivalenceRelation,
 )
 
@@ -43,10 +45,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RelationalMatrix:
-    """An n x n 0/1 equivalence-relation matrix.
+    """An n x n 0/1 equivalence-relation matrix, stored read-only as uint8.
 
-    Validates symmetry, reflexivity (unit diagonal) and transitivity on
-    construction; the stored array is read-only uint8.
+    A 0/1 matrix is an equivalence relation exactly when it equals the
+    relation "same first related index" its rows induce: one O(n**2) check.
     """
 
     rel: np.ndarray
@@ -55,18 +57,14 @@ class RelationalMatrix:
         arr = np.asarray(self.rel)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
             raise NotEquivalenceRelation("matrix must be square and nonempty")
-        if not np.isin(arr, (0, 1)).all():
+        rel = arr.astype(bool).view(np.uint8)
+        if not np.array_equal(rel, arr):
             raise NotEquivalenceRelation("entries must be 0 or 1")
-        arr = arr.astype(np.uint8)
-        if not np.array_equal(arr, arr.T):
-            raise NotEquivalenceRelation("matrix is not symmetric")
-        if not np.all(np.diag(arr) == 1):
-            raise NotEquivalenceRelation("matrix is not reflexive")
-        reach = (arr.astype(np.int64) @ arr.astype(np.int64)) > 0
-        if not np.array_equal(reach, arr.astype(bool)):
-            raise NotEquivalenceRelation("matrix is not transitive")
-        arr.flags.writeable = False
-        object.__setattr__(self, "rel", arr)
+        first = rel.argmax(axis=1)
+        if not np.array_equal(rel, first[:, None] == first[None, :]):
+            raise NotEquivalenceRelation("not symmetric, reflexive, transitive")
+        rel.flags.writeable = False
+        object.__setattr__(self, "rel", rel)
 
     @property
     def n(self) -> int:
@@ -88,8 +86,7 @@ def relational_encode(labels) -> RelationalMatrix:
     arr = np.asarray(labels)
     if arr.ndim != 1 or arr.size == 0:
         raise DimensionMismatch("labels must be a nonempty 1-d sequence")
-    rel = (arr[:, None] == arr[None, :]).astype(np.uint8)
-    return RelationalMatrix(rel)
+    return RelationalMatrix(arr[:, None] == arr[None, :])
 
 
 def decode_partition(x: RelationalMatrix) -> np.ndarray:
@@ -99,8 +96,8 @@ def decode_partition(x: RelationalMatrix) -> np.ndarray:
     the round trip ``relational_encode(decode_partition(x)) == x`` holds
     exactly and the labels are a canonical form.
     """
-    # Smallest member of item i's class = first row with a 1 in column i.
-    smallest = np.argmax(x.rel, axis=0)
+    # Smallest member of item i's class = first column with a 1 in row i.
+    smallest = np.argmax(x.rel, axis=1)
     _, labels = np.unique(smallest, return_inverse=True)
     return labels.astype(np.int64)
 
@@ -148,18 +145,20 @@ class AgreementCounts:
 
 
 def agreement_counts(x: RelationalMatrix, y: RelationalMatrix) -> AgreementCounts:
-    """Count agreeing and disagreeing ordered pairs between two relations."""
+    """Count agreeing and disagreeing ordered pairs between two relations,
+    exactly, from the squared cells and margins of their contingency table."""
     if x.n != y.n:
         raise DimensionMismatch(f"sizes {x.n} and {y.n} do not match")
-    xf = x.rel.astype(np.int64)
-    yf = y.rel.astype(np.int64)
-    xc = 1 - xf
-    yc = 1 - yf
+    lx, ly = decode_partition(x), decode_partition(y)
+    _, cells = np.unique(lx * x.n + ly, return_counts=True)
+    both = int((cells**2).sum())
+    rows = int((np.bincount(lx) ** 2).sum())
+    cols = int((np.bincount(ly) ** 2).sum())
     return AgreementCounts(
-        agree_11=float((xf * yf).sum()),
-        agree_00=float((xc * yc).sum()),
-        disagree_10=float((xf * yc).sum()),
-        disagree_01=float((xc * yf).sum()),
+        agree_11=float(both),
+        agree_00=float(x.n**2 - rows - cols + both),
+        disagree_10=float(rows - both),
+        disagree_01=float(cols - both),
     )
 
 
@@ -249,7 +248,7 @@ def sample_agreement_counts(
     :func:`expected_agreement_terms`.
     """
     if n_pairs < 1:
-        raise DimensionMismatch("n_pairs must be >= 1")
+        raise NonPositiveDimension("n_pairs must be >= 1")
     rng = np.random.default_rng(rng)
     flat = pi.cells.ravel()
     draws = rng.choice(flat.size, size=(2, n_pairs), p=flat)

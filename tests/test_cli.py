@@ -202,6 +202,30 @@ def test_negative_sample_count_is_usage_error(capsys, argv):
     assert "--samples: must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["monge-check", "condorcet-check"])
+def test_tolerance_must_be_finite_and_nonnegative(
+    capsys, tmp_path, margins_file, command, tol
+):
+    joint_path = tmp_path / "joint.json"
+    run_cli(capsys, ["couple", margins_file, "--out", str(joint_path)])
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, str(joint_path), "--tol", tol])
+    assert excinfo.value.code == 2
+    assert "--tol: must be finite and >= 0" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, [command, str(joint_path), "--tol", "1e-9"])
+    assert code == 0
+    assert json.loads(out)["tol"] == 1e-9
+
+
+@pytest.mark.parametrize("extra", [[], ["--theoretical"]])
+def test_bias_hist_needs_a_node_pair(capsys, extra):
+    code, out, err = run_cli(capsys, ["bias-hist", "1", "0.3"] + extra)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "NonPositiveDimension"
+
+
 def test_gilbert_deterministic_per_seed(capsys):
     args = ["gilbert", "12", "0.5", "--seed", "3"]
     _, first, _ = run_cli(capsys, args)

@@ -529,3 +529,17 @@ def test_empirical_bias_input_validation():
         cc.empirical_bias_samples(5, 0.5, 0)
     with pytest.raises(ValueError):
         cc.empirical_bias_samples(5, 1.5, 10)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [cc.theoretical_bias_histograms, cc.theoretical_bias_difference_distribution],
+    ids=["histograms", "difference"],
+)
+def test_theoretical_bias_laws_need_a_node_pair(law):
+    # the same check as the empirical sampler's
+    with pytest.raises(cc.NonPositiveDimension):
+        law(1, 0.3)
+    law(2, 0.3)
+    # the degree-model pmf itself is defined from one node on
+    assert cc.theoretical_joint_pmf(1, 0.3).shape == (2, 2, 2)

@@ -1,6 +1,8 @@
 """Tests for relational encodings, agreement counts, and the equilibrium
 characterization of the additive coupling."""
 
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -47,6 +49,96 @@ def test_relational_matrix_validation():
         cc.RelationalMatrix(np.array([[1, 2], [2, 1]]))  # not 0/1
     with pytest.raises(cc.NotEquivalenceRelation):
         cc.RelationalMatrix(np.ones((2, 3), dtype=int))  # not square
+
+
+def is_equivalence_brute_force(mat: np.ndarray) -> bool:
+    """Symmetry, reflexivity and transitivity checked entry by entry."""
+    n = mat.shape[0]
+    idx = range(n)
+    return (
+        all(mat[i, j] == mat[j, i] for i in idx for j in idx)
+        and all(mat[i, i] == 1 for i in idx)
+        and all(
+            mat[i, k] == 1
+            for i in idx
+            for j in idx
+            for k in idx
+            if mat[i, j] == 1 and mat[j, k] == 1
+        )
+    )
+
+
+def all_zero_one_matrices(n: int):
+    for bits in itertools.product((0, 1), repeat=n * n):
+        yield np.array(bits, dtype=np.int64).reshape(n, n)
+
+
+def all_symmetric_reflexive_matrices(n: int):
+    upper = np.triu_indices(n, k=1)
+    for bits in itertools.product((0, 1), repeat=len(upper[0])):
+        mat = np.eye(n, dtype=np.int64)
+        mat[upper] = bits
+        mat.T[upper] = bits
+        yield mat
+
+
+@pytest.mark.parametrize(
+    "n, matrices",
+    [(n, all_zero_one_matrices) for n in (1, 2, 3)]
+    + [(n, all_symmetric_reflexive_matrices) for n in (4, 5)],
+    ids=["all-1", "all-2", "all-3", "symmetric-reflexive-4", "symmetric-reflexive-5"],
+)
+def test_relational_matrix_accepts_exactly_the_equivalence_relations(n, matrices):
+    accepted = 0
+    for mat in matrices(n):
+        if is_equivalence_brute_force(mat):
+            rel = cc.RelationalMatrix(mat)
+            npt.assert_array_equal(rel.rel, mat)
+            accepted += 1
+        else:
+            with pytest.raises(cc.NotEquivalenceRelation):
+                cc.RelationalMatrix(mat)
+    # one equivalence relation per partition: the Bell numbers
+    assert accepted == {1: 1, 2: 2, 3: 5, 4: 15, 5: 52}[n]
+
+
+def agreement_counts_reference(x, y) -> cc.AgreementCounts:
+    """The four n x n products of the relations and their complements."""
+    xf = x.rel.astype(np.int64)
+    yf = y.rel.astype(np.int64)
+    xc = 1 - xf
+    yc = 1 - yf
+    return cc.AgreementCounts(
+        agree_11=float((xf * yf).sum()),
+        agree_00=float((xc * yc).sum()),
+        disagree_10=float((xf * yc).sum()),
+        disagree_01=float((xc * yf).sum()),
+    )
+
+
+def random_labelings(n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 7, size=n), rng.integers(0, 4, size=n)
+
+
+@pytest.mark.parametrize("n", [1, 5, 40, 300])
+def test_agreement_counts_match_the_matrix_products(n):
+    for seed in range(5):
+        a, b = random_labelings(n, seed)
+        x, y = cc.relational_encode(a), cc.relational_encode(b)
+        assert cc.agreement_counts(x, y) == agreement_counts_reference(x, y)
+
+
+@pytest.mark.parametrize("n", [1, 5, 40, 300])
+def test_agreement_counts_are_the_expected_terms_of_the_contingency_table(n):
+    for seed in range(5):
+        a, b = random_labelings(n, seed)
+        counts = cc.agreement_counts(cc.relational_encode(a), cc.relational_encode(b))
+        table = np.zeros((a.max() + 1, b.max() + 1))
+        np.add.at(table, (a, b), 1.0)
+        terms = cc.expected_agreement_terms(cc.JointDistribution.from_cells(table / n))
+        for name in ("agree_11", "agree_00", "disagree_10", "disagree_01"):
+            assert abs(getattr(counts, name) / n**2 - getattr(terms, name)) <= 1e-12
 
 
 def test_agreement_counts_hand_example():
@@ -168,6 +260,8 @@ def test_sample_agreement_counts_reproducible():
     a = cc.sample_agreement_counts(pi, 1000, rng=5)
     b = cc.sample_agreement_counts(pi, 1000, rng=5)
     assert a == b
+    with pytest.raises(cc.NonPositiveDimension):
+        cc.sample_agreement_counts(pi, 0)
 
 
 def test_relational_matrix_json():
