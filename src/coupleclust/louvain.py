@@ -31,14 +31,18 @@ and global scores be computed from per-class aggregates (internal weight,
 degree mass, size) without touching individual pairs; the
 ``block_evaluator`` field of :class:`LocalCriterion` is that aggregate
 form. Scoring a partition is a few vectorized passes over the nnz stored
-weights and the n nodes, O(nnz + n log n) with no per-class Python loop;
-a move gain costs one dict pass over the node's neighbors.
+weights and the n nodes, O(nnz + n log n) with no per-class Python loop.
+Local moving is queue-driven: after the first visit of every node, only
+the neighbours of moved nodes are visited again. One visit costs a dict
+pass over the node's neighbours, three block calls that give the node's
+linear coefficients, and a few multiply-adds per neighbouring class.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -191,7 +195,9 @@ class LouvainConfig:
 
     ``seed`` drives the node-order shuffles (and nothing else), so results
     are reproducible per seed. ``min_gain`` is the strict score improvement
-    a move must exceed; ``max_passes`` caps move passes at each level.
+    a move must exceed; ``max_passes`` caps each local-move phase at
+    ``max_passes * m`` node visits, ``m`` nodes at that level (the work of
+    that many full sweeps).
     ``node_order`` is ``"shuffled"`` or ``"fixed"`` (index order).
     ``restarts`` races that many independent shuffle streams and keeps the
     best result; with ``"fixed"`` order every restart would replay the same
@@ -394,7 +400,10 @@ def _best_move(
     class ``b`` gains ``2 * (block(w_b, d, D_b, s, S_b) - base)``, where
     ``base = block(w_a, d, D_a - d, s, S_a - s)`` is its stay term, ``w_c``
     its weight to class ``c`` and ``D_c``, ``S_c`` the class degree mass
-    and size (``n`` and ``two_m`` are passed on to ``block``).
+    and size (``n`` and ``two_m`` are passed on to ``block``). The block is
+    additive in ``(w, D, S)`` and 0 at the origin, so for a fixed node it
+    is ``cw*w + cd*D + cs*S``: three block calls at unit arguments price
+    every candidate with a few multiply-adds.
 
     Candidates are ``classes`` in the given order, then a fresh class if
     the node is not alone; the first best one wins. Without ``classes``
@@ -413,7 +422,10 @@ def _best_move(
     for j, w in level.adj[node].items():
         c = labels[j]
         w_by_class[c] = get(c, 0.0) + w
-    base = block(get(a, 0.0), d, cls_deg[a] - d, s, cls_size[a] - s, n, two_m)
+    cw = block(1.0, d, 0.0, s, 0.0, n, two_m)
+    cd = block(0.0, d, 1.0, s, 0.0, n, two_m)
+    cs = block(0.0, d, 0.0, s, 1.0, n, two_m)
+    base = cw * get(a, 0.0) + cd * (cls_deg[a] - d) + cs * (cls_size[a] - s)
     if classes is None:
         classes = sorted(w_by_class)
         best_gain, best_class = 0.0, a
@@ -422,16 +434,14 @@ def _best_move(
     for b in classes:
         if b == a:
             continue
-        gain = 2.0 * (
-            block(get(b, 0.0), d, cls_deg[b], s, cls_size[b], n, two_m) - base
-        )
+        gain = 2.0 * (cw * get(b, 0.0) + cd * cls_deg[b] + cs * cls_size[b] - base)
         if gain > best_gain:
             best_gain, best_class = gain, b
     # A fresh class is a candidate unless the node is alone (moving it to a
     # new empty class would be a no-op); the O(k) search for an empty class
     # runs only when the fresh class wins.
     if cls_size[a] > s:
-        gain = 2.0 * (block(0.0, d, 0.0, s, 0.0, n, two_m) - base)
+        gain = -2.0 * base
         if gain > best_gain and 0.0 in cls_size:
             best_gain, best_class = gain, cls_size.index(0.0)
     return best_gain, best_class
@@ -451,27 +461,6 @@ def _move(level: _Level, node: int, dst: int) -> int:
     return src
 
 
-def _move_pass(
-    level: _Level,
-    criterion: LocalCriterion,
-    n: int,
-    two_m: float,
-    order: np.ndarray,
-    min_gain: float,
-) -> int:
-    """One sweep of single-node moves; returns the number of moves made."""
-    block = criterion.block_evaluator
-    moves = 0
-    for node in order.tolist():
-        # staying put prices at 0 and min_gain >= 0, so a gain above it
-        # is a move to another class
-        gain, b = _best_move(level, node, block, n, two_m)
-        if gain > min_gain:
-            _move(level, node, b)
-            moves += 1
-    return moves
-
-
 def _run_passes(
     sg: _SearchGraph,
     criterion: LocalCriterion,
@@ -481,23 +470,47 @@ def _run_passes(
     rng: np.random.Generator,
     trace: list[float],
 ) -> int:
-    """Local-move passes at one level until stable; extends the trace with
-    the composed original-level score after each pass that moved anything.
-    Returns the total number of moves at this level."""
+    """One queue-driven local-move phase at one level (the fast local move
+    of Traag, Waltman & van Eck, Sci. Rep. 9, 5233, 2019).
+
+    Every node is queued once, in shuffled or index order. A visited node
+    moves if its best gain exceeds ``cfg.min_gain``; a move queues the
+    node's neighbours that are neither queued nor in its new class, whose
+    class weights it changed. The phase ends when the queue is empty or
+    after ``cfg.max_passes * m`` visits (``m`` nodes at this level). If
+    anything moved, the trace gets the composed original-level score.
+    Returns the number of moves.
+
+    An empty queue does not prove stability, since a move also changes the
+    class totals that non-neighbours price; a phase that moves nothing
+    does, since it visited every node.
+    """
     m = len(level.adj)
     g = sg.g
-    total_moves = 0
-    for _ in range(cfg.max_passes):
-        if cfg.node_order == "shuffled":
-            order = rng.permutation(m)
-        else:
-            order = np.arange(m)
-        moves = _move_pass(level, criterion, g.n, g.total_weight_2m, order, cfg.min_gain)
-        if moves == 0:
+    block = criterion.block_evaluator
+    labels = level.labels
+    order = rng.permutation(m) if cfg.node_order == "shuffled" else np.arange(m)
+    queue = deque(order.tolist())
+    queued = [True] * m
+    moves = 0
+    for _ in range(cfg.max_passes * m):
+        if not queue:
             break
-        total_moves += moves
-        trace.append(sg.score(criterion, np.asarray(level.labels)[node_map]))
-    return total_moves
+        node = queue.popleft()
+        queued[node] = False
+        # staying put prices at 0 and min_gain >= 0, so a gain above it
+        # is a move to another class
+        gain, b = _best_move(level, node, block, g.n, g.total_weight_2m)
+        if gain > cfg.min_gain:
+            _move(level, node, b)
+            moves += 1
+            for j in level.adj[node]:
+                if not queued[j] and labels[j] != b:
+                    queued[j] = True
+                    queue.append(j)
+    if moves:
+        trace.append(sg.score(criterion, np.asarray(labels)[node_map]))
+    return moves
 
 
 def _merge_classes(
@@ -621,16 +634,44 @@ def _escape_pass(
     return Partition.from_labels(level.labels).labels.copy(), best_cum > min_gain
 
 
+def _polish(
+    sg: _SearchGraph,
+    criterion: LocalCriterion,
+    labels: np.ndarray,
+    cfg: LouvainConfig,
+    rng: np.random.Generator,
+    trace: list[float],
+) -> np.ndarray:
+    """Alternate whole-class merges with single-node refinement at the
+    original resolution (plus the escape pass on small graphs) until no
+    phase gains: the last refinement phase visited every node and moved
+    none, so the result is single-node locally optimal and merge-stable."""
+    identity = np.arange(sg.g.n)
+    while True:
+        labels, merges = _merge_classes(sg, criterion, labels, cfg.min_gain)
+        if merges:
+            trace.append(sg.score(criterion, labels))
+        refine = _Level.from_partition(sg, labels)
+        moves = _run_passes(sg, criterion, refine, identity, cfg, rng, trace)
+        labels = np.asarray(refine.labels)
+        if merges == 0 and moves == 0:
+            if sg.g.n <= _ESCAPE_CAP:
+                labels, improved = _escape_pass(sg, criterion, labels, cfg.min_gain)
+                if improved:
+                    trace.append(sg.score(criterion, labels))
+                    continue
+            return labels
+
+
 def _single_run(
     sg: _SearchGraph,
     criterion: LocalCriterion,
     cfg: LouvainConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, list[float]]:
-    """One full search: level loop, then merge/refine alternation."""
-    n = sg.g.n
+    """One full search: level loop, then :func:`_polish`."""
     level = _Level.from_graph(sg)
-    node_map = np.arange(n)
+    node_map = np.arange(sg.g.n)
     trace = [sg.score(criterion, node_map)]
 
     while True:
@@ -641,27 +682,8 @@ def _single_run(
         node_map = old_to_new[node_map]
         level = next_level
 
-    # Alternate whole-class merges with single-node refinement at the
-    # original resolution until neither phase finds a gain; refinement also
-    # restores single-node optimality for actual nodes, not just
-    # super-nodes.
     labels = Partition.from_labels(np.asarray(level.labels)[node_map]).labels.copy()
-    identity = np.arange(n)
-    while True:
-        labels, merges = _merge_classes(sg, criterion, labels, cfg.min_gain)
-        if merges:
-            trace.append(sg.score(criterion, labels))
-        refine = _Level.from_partition(sg, labels)
-        moves = _run_passes(sg, criterion, refine, identity, cfg, rng, trace)
-        labels = np.asarray(refine.labels)
-        if merges == 0 and moves == 0:
-            if n <= _ESCAPE_CAP:
-                labels, improved = _escape_pass(sg, criterion, labels, cfg.min_gain)
-                if improved:
-                    trace.append(sg.score(criterion, labels))
-                    continue
-            break
-    return labels, trace
+    return _polish(sg, criterion, labels, cfg, rng, trace), trace
 
 
 def louvain(
@@ -672,7 +694,9 @@ def louvain(
     """Greedy move-and-aggregate maximization of the partition score.
 
     Runs ``cfg.restarts`` independent searches (deterministic substreams of
-    ``cfg.seed``) and keeps the best. The returned partition is single-node
+    ``cfg.seed``) and keeps the first whose final score is within
+    ``1e-12 * max(1, |best|)`` of the best, the tie rule of
+    :func:`exhaustive_best_partition`. The returned partition is single-node
     locally optimal at the original resolution (no one-node move can raise
     the score by more than ``cfg.min_gain``), stable under whole-class
     pairwise merges, and scores at least as well as both trivial partitions
@@ -693,27 +717,22 @@ def louvain(
     n_runs = cfg.restarts if cfg.node_order == "shuffled" else 1
     streams = master.spawn(n_runs) if n_runs > 1 else [master]
 
-    labels: np.ndarray | None = None
-    trace: list[float] | None = None
-    for stream in streams:
-        run_labels, run_trace = _single_run(sg, criterion, cfg, stream)
-        if trace is None or run_trace[-1] > trace[-1]:
-            labels, trace = run_labels, run_trace
+    runs = [_single_run(sg, criterion, cfg, stream) for stream in streams]
+    top = max(run_trace[-1] for _, run_trace in runs)
+    labels, trace = next(
+        run for run in runs if run[1][-1] >= top - 1e-12 * max(1.0, abs(top))
+    )
     score = trace[-1]
-    identity = np.arange(g.n)
 
     # The single-class partition scores exactly 0; greedy descent from
-    # singletons can stall below it, so fall back when it wins.
+    # singletons can stall below it, so fall back when it wins, polishing
+    # it to the same guarantees.
     all_in_one = np.zeros(g.n, dtype=np.int64)
     score_one = sg.score(criterion, all_in_one)
     if score_one > score:
-        fallback = _Level.from_partition(sg, all_in_one)
-        fb_trace = [score_one]
-        _run_passes(sg, criterion, fallback, identity, cfg, master, fb_trace)
-        if fb_trace[-1] > score:
-            trace.extend(fb_trace)
-            labels = np.asarray(fallback.labels)
-            score = fb_trace[-1]
+        trace.append(score_one)
+        labels = _polish(sg, criterion, all_in_one, cfg, master, trace)
+        score = trace[-1]
 
     part = Partition.from_labels(labels)
     return LouvainResult(

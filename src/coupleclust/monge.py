@@ -13,6 +13,11 @@ route against the exhaustive minor sweep and against the margin-formula
 characterizations (full-Monge joints are exactly the additive couplings of
 their margins; full-log-Monge joints exactly the independence couplings),
 raising :class:`InconsistentTheorem` if the equivalent routes ever disagree.
+
+Every predicate and cross-check passes when its residual is at most ``tol``
+plus the rounding floor ``64 * eps * max(1, max|x|)`` of the matrix ``x``
+it reads (the cells, or their logs on the log route), so residue that
+rounding alone leaves passes even at ``tol = 0``.
 """
 
 from __future__ import annotations
@@ -69,25 +74,30 @@ def _max_residual(c) -> tuple[float, float]:
     return max(0.0, float(r.max())), max(0.0, float(-r.min()))
 
 
+def _cut(x, tol: float) -> float:
+    """``tol`` plus the rounding floor of the matrix ``x``."""
+    return tol + 64 * float(np.finfo(float).eps) * max(1.0, float(np.abs(x).max()))
+
+
 def is_monge(c, tol: float = DEFAULT_TOL) -> bool:
     """Whether every adjacent 2 x 2 block satisfies the Monge inequality
     (diagonal sum <= anti-diagonal sum, within ``tol``)."""
     positive, _ = _max_residual(c)
-    return positive <= tol
+    return positive <= _cut(c, tol)
 
 
 def is_anti_monge(c, tol: float = DEFAULT_TOL) -> bool:
     """Whether every adjacent 2 x 2 block satisfies the reversed
     inequality within ``tol``."""
     _, negative = _max_residual(c)
-    return negative <= tol
+    return negative <= _cut(c, tol)
 
 
 def is_full_monge(c, tol: float = DEFAULT_TOL) -> bool:
     """Whether every adjacent 2 x 2 diagonal sum matches its anti-diagonal
     sum within ``tol`` (equivalently, both Monge and anti-Monge)."""
     r = adjacent_sum_residuals(c)
-    return r.size == 0 or float(np.abs(r).max()) <= tol
+    return r.size == 0 or float(np.abs(r).max()) <= _cut(c, tol)
 
 
 def is_full_log_monge(c, tol: float = DEFAULT_TOL) -> bool:
@@ -139,14 +149,15 @@ def monge_report(c, tol: float = DEFAULT_TOL) -> MongeReport:
     """Evaluate all four predicates on one matrix."""
     arr = _as_matrix(c)
     positive, negative = _max_residual(arr)
+    cut = _cut(arr, tol)
     if float(arr.min()) > 0.0:
         log_full = is_full_monge(np.log(arr), tol)
     else:
         log_full = False
     return MongeReport(
-        is_monge=positive <= tol,
-        is_anti_monge=negative <= tol,
-        is_full_monge=max(positive, negative) <= tol,
+        is_monge=positive <= cut,
+        is_anti_monge=negative <= cut,
+        is_full_monge=max(positive, negative) <= cut,
         is_full_log_monge=log_full,
         max_adjacent_residual=max(positive, negative),
     )
@@ -219,7 +230,9 @@ def verify_monge_theorems(pi: JointDistribution, tol: float = DEFAULT_TOL) -> Th
     ----------
     pi : JointDistribution
     tol : float
-        Absolute residual tolerance applied to each individual check.
+        Absolute residual tolerance applied to each individual check, on
+        top of the rounding floor (see the module docstring), so that the
+        equivalent routes agree even at ``tol = 0``.
 
     Returns
     -------
@@ -234,12 +247,13 @@ def verify_monge_theorems(pi: JointDistribution, tol: float = DEFAULT_TOL) -> Th
         equivalent, so disagreement beyond tolerance means a bug.
     """
     cells = pi.cells
+    cut = _cut(cells, tol)
     positive, negative = _max_residual(cells)
     r_adjacent = max(positive, negative)
     additive_target = indetermination_cells(pi.row_margin, pi.col_margin)
     r_formula = float(np.abs(cells - additive_target).max())
     r_exhaustive = _exhaustive_residuals(cells, product=False)
-    additive_votes = (r_adjacent <= tol, r_formula <= tol, r_exhaustive <= tol)
+    additive_votes = (r_adjacent <= cut, r_formula <= cut, r_exhaustive <= cut)
     if len(set(additive_votes)) != 1:
         raise InconsistentTheorem(
             "additive checks disagree: "
@@ -254,7 +268,7 @@ def verify_monge_theorems(pi: JointDistribution, tol: float = DEFAULT_TOL) -> Th
         independence_target = couple_independence(pi.row_margin, pi.col_margin)
         r_ind = float(np.abs(cells - independence_target.cells).max())
         r_prod = _exhaustive_residuals(cells, product=True)
-        mult_votes = (r_log <= tol, r_ind <= tol, r_prod <= tol)
+        mult_votes = (r_log <= _cut(log_cells, tol), r_ind <= cut, r_prod <= cut)
         if len(set(mult_votes)) != 1:
             raise InconsistentTheorem(
                 "multiplicative checks disagree: "

@@ -135,6 +135,29 @@ def test_monge_check_on_independence_coupling(capsys, tmp_path, margins_file):
     assert payload["theorems"]["multiplicative_holds"] is True
 
 
+@pytest.mark.parametrize(
+    "kind, predicate, group",
+    [
+        ("independence", "is_full_log_monge", "multiplicative_holds"),
+        ("indetermination", "is_full_monge", "additive_holds"),
+    ],
+)
+def test_monge_check_at_zero_tolerance(
+    capsys, tmp_path, margins_file, kind, predicate, group
+):
+    # the equivalent checks leave different rounding residue (0 and 5.6e-17
+    # on the independence coupling), so tol = 0 needs a rounding floor, and
+    # the structure predicates must agree with the theorem groups
+    joint_path = tmp_path / "joint.json"
+    run_cli(capsys, ["couple", margins_file, "--kind", kind, "--out", str(joint_path)])
+    code, out, err = run_cli(capsys, ["monge-check", str(joint_path), "--tol", "0"])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["tol"] == 0.0
+    assert payload["structure"][predicate] is True
+    assert payload["theorems"][group] is True
+
+
 def test_condorcet_check_accepts_indetermination(
     capsys, tmp_path, margins_file
 ):

@@ -276,3 +276,116 @@ def test_louvain_result_json():
     assert data["criterion"] == "indetermination"
     assert data["k"] == result.partition.k
     assert data["trace"][-1] == result.score
+
+
+def random_level(rng, m=40, k=12):
+    """A super-node level: float weights, self-loops, sizes 1..5 and
+    labels drawn from ``k`` of the ``m`` class ids, so some classes are
+    empty and a fresh class is available."""
+    from coupleclust.louvain import _Level
+
+    upper = np.triu(rng.uniform(0.1, 3.0, (m, m)) * (rng.random((m, m)) < 0.05), 1)
+    a = upper + upper.T
+    adj = [{j: float(a[i, j]) for j in np.flatnonzero(a[i])} for i in range(m)]
+    self_w = rng.uniform(0.0, 4.0, m).tolist()
+    deg = (a.sum(axis=1) + self_w).tolist()
+    level = _Level(adj, self_w, deg, rng.integers(1, 6, m).astype(float).tolist())
+    level.labels = rng.choice(rng.permutation(m)[:k], size=m).tolist()
+    level.cls_deg, level.cls_size = [0.0] * m, [0.0] * m
+    for i, c in enumerate(level.labels):
+        level.cls_deg[c] += level.deg[i]
+        level.cls_size[c] += level.size[i]
+    return level
+
+
+def reference_best_move(level, node, block, n, two_m, classes=None):
+    """Every candidate priced with the block formula itself; the first
+    maximum wins."""
+    labels = level.labels
+    a, d, s = labels[node], level.deg[node], level.size[node]
+    w = {}
+    for j, wj in level.adj[node].items():
+        w[labels[j]] = w.get(labels[j], 0.0) + wj
+    base = block(w.get(a, 0.0), d, level.cls_deg[a] - d, s, level.cls_size[a] - s, n, two_m)
+    if classes is None:
+        best = (0.0, a)
+        classes = sorted(w)
+    else:
+        best = (-np.inf, -1)
+    for b in classes:
+        if b != a:
+            gain = 2 * (block(w.get(b, 0.0), d, level.cls_deg[b], s, level.cls_size[b], n, two_m) - base)
+            if gain > best[0]:
+                best = (gain, b)
+    if level.cls_size[a] > s and 0.0 in level.cls_size:
+        gain = 2 * (block(0.0, d, 0.0, s, 0.0, n, two_m) - base)
+        if gain > best[0]:
+            best = (gain, level.cls_size.index(0.0))
+    return best
+
+
+@pytest.mark.parametrize("criterion", [cc.independence_criterion(), cc.indetermination_criterion()])
+def test_best_move_matches_block_formula_reference(criterion):
+    from coupleclust.louvain import _best_move
+
+    rng = np.random.default_rng(5)
+    block = criterion.block_evaluator
+    moved = fresh = 0
+    for _ in range(20):
+        level = random_level(rng)
+        n, two_m = int(sum(level.size)), float(sum(level.deg))
+        nonempty = [c for c, size in enumerate(level.cls_size) if size > 0]
+        for node in range(len(level.adj)):
+            for classes in (None, nonempty):
+                gain, b = _best_move(level, node, block, n, two_m, classes)
+                ref_gain, ref_b = reference_best_move(level, node, block, n, two_m, classes)
+                assert b == ref_b
+                assert abs(gain - ref_gain) <= 1e-12 * max(1.0, abs(ref_gain))
+                moved += b != level.labels[node]
+                fresh += level.cls_size[b] == 0.0
+    assert moved > 100 and fresh > 10
+
+
+def test_restarts_tie_to_the_first_within_tolerance():
+    # On karate several restarts reach the same partition score, some
+    # differing in the last bits; the first restart within
+    # 1e-12 * max(1, |best|) of the best must win, as in the exhaustive
+    # search, not the one that happens to round highest.
+    from coupleclust.louvain import _SearchGraph, _single_run
+
+    g = cc.load_karate()
+    cfg = cc.LouvainConfig(seed=0)
+    rounded_apart = False
+    for crit in (cc.independence_criterion(), cc.indetermination_criterion()):
+        sg = _SearchGraph(g)
+        streams = np.random.default_rng(cfg.seed).spawn(cfg.restarts)
+        runs = [_single_run(sg, crit, cfg, stream) for stream in streams]
+        scores = np.array([trace[-1] for _, trace in runs])
+        top = scores.max()
+        tied = np.flatnonzero(scores >= top - 1e-12 * max(1.0, abs(top)))
+        assert tied.size > 1
+        rounded_apart |= scores[tied[0]] < top
+        result = cc.louvain(g, crit, cfg)
+        labels, trace = runs[tied[0]]
+        assert result.trace == tuple(trace)
+        npt.assert_array_equal(result.partition.labels, cc.Partition.from_labels(labels).labels)
+    assert rounded_apart
+
+
+def test_louvain_modularity_not_below_networkx():
+    # 30 Gilbert graphs fixed in advance: eps uniform in [0.01, 0.05] and
+    # the graph seeds drawn from one stream; run k uses seed k on both sides.
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(2024)
+    ours, theirs = [], []
+    for k in range(30):
+        eps = rng.uniform(0.01, 0.05)
+        g = cc.gilbert(300, eps, rng=int(rng.integers(2**32)))
+        result = cc.louvain(g, cc.independence_criterion(), cc.LouvainConfig(seed=k))
+        nxg = nx.from_scipy_sparse_array(g.weights)
+        classes = nx.community.louvain_communities(nxg, seed=k)
+        ours.append(result.score)
+        theirs.append(nx.community.modularity(nxg, classes))
+    ours, theirs = np.array(ours), np.array(theirs)
+    assert ours.mean() >= theirs.mean()
+    assert np.all(ours >= theirs - 0.01), np.flatnonzero(ours < theirs - 0.01)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import coupleclust as cc
-from coupleclust.louvain import _score_labels, _stored_entries
+from coupleclust.louvain import _ESCAPE_CAP, _score_labels, _stored_entries
 from conftest import brute_force_score
 
 CRITERIA = (cc.independence_criterion(), cc.indetermination_criterion())
@@ -180,3 +180,19 @@ def test_louvain_result_is_single_node_optimal(g, criterion, seed):
 @given(graphs(max_n=10), st.sampled_from(CRITERIA), st.integers(0, 2**32 - 1))
 def test_louvain_result_is_merge_stable(g, criterion, seed):
     assert_no_neighbour_gains(g, criterion, seed, two_class_merges)
+
+
+@pytest.mark.parametrize("criterion", CRITERIA, ids=lambda c: c.kind)
+def test_louvain_optimality_above_escape_cap(criterion):
+    # Above _ESCAPE_CAP no escape pass runs, so single-node optimality rests
+    # on the last refinement phase alone: it queued every node and moved none.
+    g = cc.gilbert(200, 0.03, rng=11)
+    assert g.n > _ESCAPE_CAP
+    cfg = cc.LouvainConfig(seed=0, restarts=2)
+    part = cc.louvain(g, criterion, cfg).partition
+    score = cc.global_score(g, criterion, part)
+    bound = score + cfg.min_gain + 1e-12 * max(1.0, abs(score))
+    for neighbours in (one_node_moves, two_class_merges):
+        for other in neighbours(part.labels, part.k):
+            moved = cc.global_score(g, criterion, cc.Partition.from_labels(other))
+            assert moved <= bound, (other, moved, score)
