@@ -431,7 +431,7 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         result = args.func(args)
         _emit(args, result, time.perf_counter() - start)
-    except (CoupleclustError, ValueError, KeyError, OSError) as exc:
+    except (CoupleclustError, ValueError, KeyError, OSError, MemoryError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error), file=sys.stderr)
         return 1

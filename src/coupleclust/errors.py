@@ -9,6 +9,25 @@ handlers.
 
 from __future__ import annotations
 
+__all__ = [
+    "CoupleclustError",
+    "NegativeEntry",
+    "NonFiniteEntry",
+    "SumNotOne",
+    "ConditionHViolated",
+    "DimensionMismatch",
+    "NonPositiveDimension",
+    "NotConverged",
+    "NonPositiveEntry",
+    "InconsistentTheorem",
+    "NotEquivalenceRelation",
+    "DegenerateDimensions",
+    "EmptyGraph",
+    "ZeroEps",
+    "TooLarge",
+    "EdgeListParseError",
+]
+
 
 class CoupleclustError(Exception):
     """Base class for all coupleclust errors."""

@@ -12,7 +12,7 @@ below 0.
 
 Two search routines are provided. :func:`louvain` is the greedy
 move-and-aggregate heuristic: nodes move to the neighboring (or a fresh)
-class while the score gain exceeds a threshold, classes collapse into
+class while the score gain exceeds a tolerance, classes collapse into
 super-nodes, and the cycle repeats. Each run then alternates whole-class
 merge sweeps with single-node refinement at the original resolution until
 neither finds a gain; the merge sweep matters because both criteria can
@@ -191,32 +191,17 @@ def criterion_by_name(name: str) -> LocalCriterion:
 
 @dataclass(frozen=True)
 class LouvainConfig:
-    """Search knobs.
+    """Search settings.
 
     ``seed`` drives the node-order shuffles (and nothing else), so results
-    are reproducible per seed. ``min_gain`` is the strict score improvement
-    a move must exceed; ``max_passes`` caps each local-move phase at
-    ``max_passes * m`` node visits, ``m`` nodes at that level (the work of
-    that many full sweeps).
-    ``node_order`` is ``"shuffled"`` or ``"fixed"`` (index order).
-    ``restarts`` races that many independent shuffle streams and keeps the
-    best result; with ``"fixed"`` order every restart would replay the same
-    moves, so a single run is performed.
+    are reproducible per seed. ``restarts`` races that many independent
+    shuffle streams and keeps the best result.
     """
 
     seed: int = 0
-    max_passes: int = 100
-    min_gain: float = 1e-12
-    node_order: str = "shuffled"
     restarts: int = 8
 
     def __post_init__(self):
-        if self.max_passes < 1:
-            raise ValueError("max_passes must be >= 1")
-        if self.min_gain < 0:
-            raise ValueError("min_gain must be >= 0")
-        if self.node_order not in ("shuffled", "fixed"):
-            raise ValueError("node_order must be 'shuffled' or 'fixed'")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -238,11 +223,17 @@ class LouvainResult:
         }
 
 
-def _check_graph(g: WeightedGraph, criterion: LocalCriterion) -> None:
+def _check_graph(g: WeightedGraph, criterion: LocalCriterion) -> float:
+    """Reject a graph the criterion cannot score; return ``tol``, the
+    search's rounding tolerance on it. Gains and scores scale with the
+    weights as ``tol`` does, so the search does not depend on their unit;
+    an edgeless graph under indetermination gets 0, and every gain is 0."""
     if g.n == 0:
         raise EmptyGraph("graph has no nodes")
-    if criterion.needs_total_weight and g.total_weight_2m <= 0.0:
+    two_m = g.total_weight_2m
+    if criterion.needs_total_weight and two_m <= 0.0:
         raise EmptyGraph("graph has zero total weight")
+    return 1e-12 * abs(criterion.block_evaluator(two_m, 0.0, 0.0, 0.0, 0.0, g.n, two_m))
 
 
 def _stored_entries(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -466,20 +457,20 @@ def _run_passes(
     criterion: LocalCriterion,
     level: _Level,
     node_map: np.ndarray,
-    cfg: LouvainConfig,
+    tol: float,
     rng: np.random.Generator,
     trace: list[float],
 ) -> int:
     """One queue-driven local-move phase at one level (the fast local move
     of Traag, Waltman & van Eck, Sci. Rep. 9, 5233, 2019).
 
-    Every node is queued once, in shuffled or index order. A visited node
-    moves if its best gain exceeds ``cfg.min_gain``; a move queues the
-    node's neighbours that are neither queued nor in its new class, whose
-    class weights it changed. The phase ends when the queue is empty or
-    after ``cfg.max_passes * m`` visits (``m`` nodes at this level). If
-    anything moved, the trace gets the composed original-level score.
-    Returns the number of moves.
+    Every node is queued once, in shuffled order. A visited node moves if
+    its best gain exceeds ``tol``; a move queues the node's neighbours that
+    are neither queued nor in its new class, whose class weights it
+    changed. The phase ends when the queue is empty or after
+    ``_MAX_SWEEPS * m`` visits (``m`` nodes at this level), the cap that
+    guarantees termination. If anything moved, the trace gets the composed
+    original-level score. Returns the number of moves.
 
     An empty queue does not prove stability, since a move also changes the
     class totals that non-neighbours price; a phase that moves nothing
@@ -489,19 +480,18 @@ def _run_passes(
     g = sg.g
     block = criterion.block_evaluator
     labels = level.labels
-    order = rng.permutation(m) if cfg.node_order == "shuffled" else np.arange(m)
-    queue = deque(order.tolist())
+    queue = deque(rng.permutation(m).tolist())
     queued = [True] * m
     moves = 0
-    for _ in range(cfg.max_passes * m):
+    for _ in range(_MAX_SWEEPS * m):
         if not queue:
             break
         node = queue.popleft()
         queued[node] = False
-        # staying put prices at 0 and min_gain >= 0, so a gain above it
-        # is a move to another class
+        # staying put prices at 0 and tol >= 0, so a gain above it is a
+        # move to another class
         gain, b = _best_move(level, node, block, g.n, g.total_weight_2m)
-        if gain > cfg.min_gain:
+        if gain > tol:
             _move(level, node, b)
             moves += 1
             for j in level.adj[node]:
@@ -517,7 +507,7 @@ def _merge_classes(
     sg: _SearchGraph,
     criterion: LocalCriterion,
     labels: np.ndarray,
-    min_gain: float,
+    tol: float,
 ) -> tuple[np.ndarray, int]:
     """Greedily merge whole classes while some pairwise merge gains.
 
@@ -554,7 +544,7 @@ def _merge_classes(
         masked = np.where(mask, gains, -np.inf)
         flat = int(np.argmax(masked))
         a, b = divmod(flat, k)
-        if masked[a, b] <= min_gain:
+        if masked[a, b] <= tol:
             break
         # merge b into a
         labels[labels == b] = a
@@ -573,6 +563,10 @@ def _merge_classes(
     return labels, merges
 
 
+# Node visits a local-move phase may make, in sweeps of its level: the cap
+# that guarantees termination.
+_MAX_SWEEPS = 100
+
 # Node count up to which the plateau-escape pass runs; its cost is
 # O(n**2 * classes) per attempt, so it is reserved for small graphs, where
 # single-move plateaus between the greedy result and the optimum are both
@@ -584,7 +578,7 @@ def _escape_pass(
     sg: _SearchGraph,
     criterion: LocalCriterion,
     labels: np.ndarray,
-    min_gain: float,
+    tol: float,
 ) -> tuple[np.ndarray, bool]:
     """One sequence of forced best moves, keeping the best prefix.
 
@@ -625,20 +619,20 @@ def _escape_pass(
         locked[best_node] = True
         applied.append((best_node, a, best_class))
         cum += best_gain
-        if cum > best_cum + min_gain:
+        if cum > best_cum + tol:
             best_cum = cum
             best_len = len(applied)
 
     for node, src, _dst in reversed(applied[best_len:]):
         _move(level, node, src)
-    return Partition.from_labels(level.labels).labels.copy(), best_cum > min_gain
+    return Partition.from_labels(level.labels).labels.copy(), best_cum > tol
 
 
 def _polish(
     sg: _SearchGraph,
     criterion: LocalCriterion,
     labels: np.ndarray,
-    cfg: LouvainConfig,
+    tol: float,
     rng: np.random.Generator,
     trace: list[float],
 ) -> np.ndarray:
@@ -648,15 +642,15 @@ def _polish(
     none, so the result is single-node locally optimal and merge-stable."""
     identity = np.arange(sg.g.n)
     while True:
-        labels, merges = _merge_classes(sg, criterion, labels, cfg.min_gain)
+        labels, merges = _merge_classes(sg, criterion, labels, tol)
         if merges:
             trace.append(sg.score(criterion, labels))
         refine = _Level.from_partition(sg, labels)
-        moves = _run_passes(sg, criterion, refine, identity, cfg, rng, trace)
+        moves = _run_passes(sg, criterion, refine, identity, tol, rng, trace)
         labels = np.asarray(refine.labels)
         if merges == 0 and moves == 0:
             if sg.g.n <= _ESCAPE_CAP:
-                labels, improved = _escape_pass(sg, criterion, labels, cfg.min_gain)
+                labels, improved = _escape_pass(sg, criterion, labels, tol)
                 if improved:
                     trace.append(sg.score(criterion, labels))
                     continue
@@ -666,7 +660,7 @@ def _polish(
 def _single_run(
     sg: _SearchGraph,
     criterion: LocalCriterion,
-    cfg: LouvainConfig,
+    tol: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, list[float]]:
     """One full search: level loop, then :func:`_polish`."""
@@ -675,7 +669,7 @@ def _single_run(
     trace = [sg.score(criterion, node_map)]
 
     while True:
-        _run_passes(sg, criterion, level, node_map, cfg, rng, trace)
+        _run_passes(sg, criterion, level, node_map, tol, rng, trace)
         next_level, old_to_new = level.aggregate()
         if len(next_level.adj) == len(level.adj):
             break
@@ -683,7 +677,7 @@ def _single_run(
         level = next_level
 
     labels = Partition.from_labels(np.asarray(level.labels)[node_map]).labels.copy()
-    return _polish(sg, criterion, labels, cfg, rng, trace), trace
+    return _polish(sg, criterion, labels, tol, rng, trace), trace
 
 
 def louvain(
@@ -693,16 +687,20 @@ def louvain(
 ) -> LouvainResult:
     """Greedy move-and-aggregate maximization of the partition score.
 
-    Runs ``cfg.restarts`` independent searches (deterministic substreams of
-    ``cfg.seed``) and keeps the first whose final score is within
-    ``1e-12 * max(1, |best|)`` of the best, the tie rule of
+    Every rounding decision compares with one tolerance
+    ``tol = 1e-12 * |block(2M, 0, 0, 0, 0, n, 2M)|``, the criterion's value
+    of all the weight with no null subtracted (1e-12 under independence,
+    1e-12 * 2M under indetermination), so the labels do not depend on the
+    weight unit. Runs ``cfg.restarts`` independent searches (deterministic
+    substreams of ``cfg.seed``) and keeps the first whose final score is
+    within ``tol`` of the best, the tie rule of
     :func:`exhaustive_best_partition`. The returned partition is single-node
     locally optimal at the original resolution (no one-node move can raise
-    the score by more than ``cfg.min_gain``), stable under whole-class
-    pairwise merges, and scores at least as well as both trivial partitions
-    (all singletons and all-in-one). The trace records the winning run's
-    global score before any move and after every phase that changed
-    something; it is non-decreasing.
+    the score by more than ``tol``), stable under whole-class pairwise
+    merges (none gains more than ``tol``), and scores at least as well as
+    both trivial partitions (all singletons and all-in-one). The trace
+    records the winning run's global score before any move and after every
+    phase that changed something; it is non-decreasing.
 
     Raises
     ------
@@ -711,27 +709,25 @@ def louvain(
         independence criterion.
     """
     cfg = cfg if cfg is not None else LouvainConfig()
-    _check_graph(g, criterion)
+    tol = _check_graph(g, criterion)
     sg = _SearchGraph(g)
     master = np.random.default_rng(cfg.seed)
-    n_runs = cfg.restarts if cfg.node_order == "shuffled" else 1
-    streams = master.spawn(n_runs) if n_runs > 1 else [master]
+    streams = master.spawn(cfg.restarts) if cfg.restarts > 1 else [master]
 
-    runs = [_single_run(sg, criterion, cfg, stream) for stream in streams]
+    runs = [_single_run(sg, criterion, tol, stream) for stream in streams]
     top = max(run_trace[-1] for _, run_trace in runs)
-    labels, trace = next(
-        run for run in runs if run[1][-1] >= top - 1e-12 * max(1.0, abs(top))
-    )
+    labels, trace = next(run for run in runs if run[1][-1] >= top - tol)
     score = trace[-1]
 
     # The single-class partition scores exactly 0; greedy descent from
     # singletons can stall below it, so fall back when it wins, polishing
-    # it to the same guarantees.
+    # it to the same guarantees. The test is strict, not within tol: it
+    # enforces the exact floor of 0.
     all_in_one = np.zeros(g.n, dtype=np.int64)
     score_one = sg.score(criterion, all_in_one)
     if score_one > score:
         trace.append(score_one)
-        labels = _polish(sg, criterion, all_in_one, cfg, master, trace)
+        labels = _polish(sg, criterion, all_in_one, tol, master, trace)
         score = trace[-1]
 
     part = Partition.from_labels(labels)
@@ -768,11 +764,11 @@ def exhaustive_best_partition(
     :class:`TooLarge`. Ties go to the earliest partition in restricted-
     growth order, whose first entry is the single-class partition; since
     that partition scores 0, the optimum is never negative. Scores within
-    ``1e-12 * max(1, |best|)`` of the best count as tied: equal optima
+    ``tol`` of the best (as in :func:`louvain`) count as tied: equal optima
     can differ in the last bits, since each partition sums its pairs in
     its own order.
     """
-    _check_graph(g, criterion)
+    tol = _check_graph(g, criterion)
     if g.n > 10:
         raise TooLarge(f"exhaustive search capped at 10 nodes, got {g.n}")
     n = g.n
@@ -786,5 +782,5 @@ def exhaustive_best_partition(
         for j in range(n):
             scores += c[i, j] * (rows[:, i] == rows[:, j])
     top = scores.max()
-    best = int(np.flatnonzero(scores >= top - 1e-12 * max(1.0, abs(top)))[0])
+    best = int(np.flatnonzero(scores >= top - tol)[0])
     return Partition.from_labels(rows[best].astype(np.int64)), float(scores[best])

@@ -416,6 +416,19 @@ def test_cluster_requires_some_input(capsys):
     assert_single_json_error(err, "ValueError")
 
 
+def test_cluster_out_of_memory_reports_error(capsys, monkeypatch, two_triangles_file):
+    # A graph too big for memory (the one edge line 0<TAB>100000<TAB>1 asks
+    # the merge sweep for a dense k x k array) fails like any other error.
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr("coupleclust.cli.louvain", exhausted)
+    code, out, err = run_cli(capsys, ["cluster", two_triangles_file])
+    assert code == 1
+    assert out == ""
+    assert_single_json_error(err, "MemoryError")
+
+
 def test_best_exhaustive_too_large(capsys, tmp_path):
     text = "".join(f"{i}\t{i + 1}\t1.0\n" for i in range(10))
     path = tmp_path / "chain.tsv"

@@ -4,7 +4,8 @@ The aggregate scorer is checked against independent oracles: the O(n**2)
 sum of the pair criterion over same-class ordered pairs, and, for the
 independence criterion, Newman modularity as computed by networkx. The
 greedy search is checked for the optimality its docstring promises: no
-single-node move and no merge of two classes gains more than ``min_gain``.
+single-node move and no merge of two classes gains more than the search
+tolerance.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import coupleclust as cc
-from coupleclust.louvain import _ESCAPE_CAP, _score_labels, _stored_entries
+from coupleclust.louvain import _ESCAPE_CAP, _check_graph, _score_labels, _stored_entries
 from conftest import brute_force_score
 
 CRITERIA = (cc.independence_criterion(), cc.indetermination_criterion())
@@ -162,8 +163,8 @@ def assert_no_neighbour_gains(g, criterion, seed, neighbours):
     result = cc.louvain(g, criterion, cfg)
     score = cc.global_score(g, criterion, result.partition)
     # the score is recomputed in another summation order, so allow for
-    # rounding on top of min_gain
-    bound = score + cfg.min_gain + 1e-12 * max(1.0, abs(score))
+    # rounding on top of the search tolerance
+    bound = score + _check_graph(g, criterion) + 1e-12 * max(1.0, abs(score))
     labels = result.partition.labels
     for other in neighbours(labels, result.partition.k):
         moved = cc.global_score(g, criterion, cc.Partition.from_labels(other))
@@ -191,7 +192,7 @@ def test_louvain_optimality_above_escape_cap(criterion):
     cfg = cc.LouvainConfig(seed=0, restarts=2)
     part = cc.louvain(g, criterion, cfg).partition
     score = cc.global_score(g, criterion, part)
-    bound = score + cfg.min_gain + 1e-12 * max(1.0, abs(score))
+    bound = score + _check_graph(g, criterion) + 1e-12 * max(1.0, abs(score))
     for neighbours in (one_node_moves, two_class_merges):
         for other in neighbours(part.labels, part.k):
             moved = cc.global_score(g, criterion, cc.Partition.from_labels(other))
