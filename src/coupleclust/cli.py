@@ -38,7 +38,9 @@ File formats
 margins JSON     {"mu": [...], "nu": [...]}
 joint JSON       {"p": 2, "q": 2, "cells": [[...], [...]]}
 edge list        ``i<TAB>j<TAB>weight`` per line, 0-based, one line per
-                 undirected edge
+                 undirected edge; n is the largest index plus one, so a
+                 graph whose last node has no edge is written with a final
+                 ``n-1<TAB>n-1<TAB>0.0`` line
 histogram CSV    header ``bin_low,bin_high,count``
 """
 

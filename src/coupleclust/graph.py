@@ -158,11 +158,15 @@ class WeightedGraph:
 
     def edge_list_text(self) -> str:
         """Tab-separated ``i j weight`` lines, each undirected edge once
-        (upper triangle plus any diagonal), LF terminated."""
+        (upper triangle plus any diagonal), LF terminated. If the last node
+        has no edge, a final ``n-1 n-1 0.0`` line keeps the node count,
+        which :func:`load_edge_list` reads as the largest index plus one."""
         lines = []
         coo = sparse.triu(self._csr).tocoo()
         for i, j, w in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
             lines.append(f"{i}\t{j}\t{float(w)!r}")
+        if self.n and self.degrees[-1] == 0.0:
+            lines.append(f"{self.n - 1}\t{self.n - 1}\t0.0")
         return "\n".join(lines) + ("\n" if lines else "")
 
     def save_edge_list(self, path) -> None:

@@ -13,15 +13,16 @@ below 0.
 Two search routines are provided. :func:`louvain` is the greedy
 move-and-aggregate heuristic: nodes move to the neighboring (or a fresh)
 class while the score gain exceeds a tolerance, classes collapse into
-super-nodes, and the cycle repeats. Each run then alternates whole-class
-merge sweeps with single-node refinement at the original resolution until
-neither finds a gain; the merge sweep matters because both criteria can
-reward uniting classes that share no edge (low-degree nodes sit above the
-additive null, for instance), a move the neighbor-restricted pass never
-proposes. Several such runs with different shuffle streams are raced and
-the best kept, so the returned partition is single-node locally optimal,
-pairwise-merge stable, and never scores below either trivial partition
-(all singletons or all-in-one; a final fallback enforces the latter).
+super-nodes, and the cycle repeats. Each run then alternates merges, which
+are local moves on the class graph, with single-node refinement at the
+original resolution until neither finds a gain. Both also price classes
+with no edge to the node, because both criteria can reward uniting
+classes that share no edge (low-degree nodes sit above the additive null,
+for instance), a move the neighbor-restricted pass never proposes. Several
+such runs with different shuffle streams are raced and the best kept, so
+the returned partition is single-node locally optimal, pairwise-merge
+stable, and never scores below either trivial partition (all singletons
+or all-in-one; a final fallback enforces the latter).
 :func:`exhaustive_best_partition` scores every partition (Bell-number
 many cached restricted-growth strings, so it is capped at 10 nodes) and is
 the oracle the heuristic is measured against.
@@ -31,11 +32,16 @@ and global scores be computed from per-class aggregates (internal weight,
 degree mass, size) without touching individual pairs; the
 ``block_evaluator`` field of :class:`LocalCriterion` is that aggregate
 form. Scoring a partition is a few vectorized passes over the nnz stored
-weights and the n nodes, O(nnz + n log n) with no per-class Python loop.
-Local moving is queue-driven: after the first visit of every node, only
-the neighbours of moved nodes are visited again. One visit costs a dict
-pass over the node's neighbours, three block calls that give the node's
-linear coefficients, and a few multiply-adds per neighbouring class.
+weights and the n nodes, O(nnz + n log n) with no per-class Python loop;
+building a level, the class graph of a partition, is one sort of the nnz
+class-pair codes. Local moving is queue-driven: after the first visit of
+every node, only the neighbours of moved nodes are visited again. One
+visit costs a dict pass over the node's neighbours, three block calls that
+give the node's linear coefficients, and a few multiply-adds per
+neighbouring class. A merge or refinement visit at which no neighbouring
+class gains may also scan all k classes, O(k), unless an exact bound shows
+that no class without an edge to the node can gain (under independence,
+always).
 """
 
 from __future__ import annotations
@@ -91,14 +97,7 @@ class Partition:
         if labels.min() < 0:
             raise ValueError("class ids must be nonnegative")
         k = int(labels.max()) + 1
-        # canonical means ids appear in first-appearance order 0, 1, 2, ...
-        order = []
-        seen = set()
-        for lab in labels.tolist():
-            if lab not in seen:
-                seen.add(lab)
-                order.append(lab)
-        if order != list(range(k)):
+        if not np.array_equal(_canonical(labels), labels):
             raise ValueError(
                 "labels are not canonical: use Partition.from_labels to relabel"
             )
@@ -112,11 +111,7 @@ class Partition:
         arr = np.asarray(labels, dtype=np.int64)
         if arr.ndim != 1 or arr.size == 0:
             raise DimensionMismatch("labels must be a nonempty 1-d array")
-        _, first_idx, inverse = np.unique(
-            arr, return_index=True, return_inverse=True
-        )
-        rank = np.argsort(np.argsort(first_idx))
-        return cls(labels=rank[inverse])
+        return cls(labels=_canonical(arr))
 
     @property
     def n(self) -> int:
@@ -290,45 +285,49 @@ class _SearchGraph:
     """The original graph as the search reads it.
 
     Built once per :func:`louvain` call and shared, never mutated, by every
-    restart, refinement level and the fallback: the stored entries as flat
-    arrays for scoring, and per-node adjacency dicts (self-loops split off)
-    plus degree list for the move passes.
+    restart, level and the fallback: the stored entries as flat arrays for
+    scoring, and the singleton level's lists for the move phases.
     """
 
-    __slots__ = ("g", "entries", "adj", "self_w", "deg")
+    __slots__ = ("g", "entries", "adj", "deg", "size")
 
     def __init__(self, g: WeightedGraph):
         self.g = g
         self.entries = _stored_entries(g)
-        self.adj: list[dict[int, float]] = [{} for _ in range(g.n)]
-        self.self_w = [0.0] * g.n
-        for i, j, w in zip(*(a.tolist() for a in self.entries)):
-            if i == j:
-                self.self_w[i] = w
-            else:
-                self.adj[i][j] = w
-        self.deg: list[float] = g.degrees.tolist()
+        lone = _Level.of_classes(self, np.arange(g.n))
+        self.adj, self.deg, self.size = lone.adj, lone.deg, lone.size
 
     def score(self, criterion: LocalCriterion, labels) -> float:
         return _score_labels(self.g, criterion, labels, self.entries)
 
+    def class_totals(self, labels: np.ndarray) -> tuple[list[float], list[float]]:
+        """Degree mass and size of each class of canonical ``labels``."""
+        deg = np.bincount(labels, weights=self.g.degrees)
+        return deg.tolist(), np.bincount(labels).astype(float).tolist()
+
+
+def _canonical(labels) -> np.ndarray:
+    """Relabel classes 0, 1, 2, ... by first appearance."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
 
 class _Level:
-    """Mutable quotient-graph state for one aggregation level, as plain
-    Python lists.
+    """Mutable state of one move phase, as plain Python lists.
 
     Super-node attributes (degree mass, size) are sums over the original
     nodes they contain; ``n`` and ``two_m`` always refer to the original
-    graph, since the criteria normalize by them. ``adj``, ``self_w``,
-    ``deg`` and ``size`` are read-only; the passes update ``labels``,
-    ``cls_deg`` and ``cls_size``.
+    graph, since the criteria normalize by them. ``adj`` holds the weight
+    between distinct super-nodes only: a super-node carries its inner pairs
+    wherever it moves. ``adj``, ``deg`` and ``size`` are read-only; the
+    phases update ``labels`` and the per-class lists ``cls_deg`` and
+    ``cls_size``, which grow by a slot when a node opens a fresh class.
     """
 
-    __slots__ = ("adj", "self_w", "deg", "size", "labels", "cls_deg", "cls_size")
+    __slots__ = ("adj", "deg", "size", "labels", "cls_deg", "cls_size")
 
-    def __init__(self, adj, self_w, deg, size):
+    def __init__(self, adj, deg, size):
         self.adj: list[dict[int, float]] = adj
-        self.self_w: list[float] = self_w
         self.deg: list[float] = deg
         self.size: list[float] = size
         self.labels = list(range(len(adj)))
@@ -336,44 +335,28 @@ class _Level:
         self.cls_size = list(size)
 
     @classmethod
-    def from_graph(cls, sg: _SearchGraph) -> "_Level":
-        return cls(sg.adj, sg.self_w, sg.deg, [1.0] * sg.g.n)
-
-    @classmethod
     def from_partition(cls, sg: _SearchGraph, labels: np.ndarray) -> "_Level":
-        """Original-resolution state with a given starting assignment."""
-        level = cls.from_graph(sg)
-        level.labels = np.asarray(labels, dtype=np.int64).tolist()
-        level.cls_deg = [0.0] * sg.g.n
-        level.cls_size = [0.0] * sg.g.n
-        for i, c in enumerate(level.labels):
-            level.cls_deg[c] += level.deg[i]
-            level.cls_size[c] += level.size[i]
+        """Original-resolution state starting from canonical ``labels``."""
+        level = cls(sg.adj, sg.deg, sg.size)
+        level.labels = labels.tolist()
+        level.cls_deg, level.cls_size = sg.class_totals(labels)
         return level
 
-    def aggregate(self) -> tuple["_Level", np.ndarray]:
-        """Collapse classes to super-nodes; returns the new level and the
-        node -> super-node map."""
-        old_to_new = Partition.from_labels(self.labels).labels
-        new_of = old_to_new.tolist()
-        k = max(new_of) + 1
-        new_adj: list[dict[int, float]] = [{} for _ in range(k)]
-        new_self = [0.0] * k
-        new_deg = [0.0] * k
-        new_size = [0.0] * k
-        for i, row in enumerate(self.adj):
-            a = new_of[i]
-            new_deg[a] += self.deg[i]
-            new_size[a] += self.size[i]
-            new_self[a] += self.self_w[i]
-            row_a = new_adj[a]
-            for j, w in row.items():
-                b = new_of[j]
-                if b == a:
-                    new_self[a] += w
-                else:
-                    row_a[b] = row_a.get(b, 0.0) + w
-        return _Level(new_adj, new_self, new_deg, new_size), old_to_new
+    @classmethod
+    def of_classes(cls, sg: _SearchGraph, labels: np.ndarray) -> "_Level":
+        """The class graph of canonical ``labels``, every class a lone
+        super-node: the weight between two classes is the sum of the stored
+        entries between them, in O(nnz log nnz)."""
+        k = int(labels.max()) + 1
+        rows, cols, vals = sg.entries
+        a, b = labels[rows], labels[cols]
+        off = a != b
+        codes, pair = np.unique(a[off] * k + b[off], return_inverse=True)
+        w = np.bincount(pair, weights=vals[off], minlength=codes.size).tolist()
+        bounds = np.searchsorted(codes, np.arange(k + 1) * k).tolist()
+        ends = (codes % k).tolist()
+        adj = [dict(zip(ends[lo:hi], w[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+        return cls(adj, *sg.class_totals(labels))
 
 
 def _best_move(
@@ -383,6 +366,7 @@ def _best_move(
     n: int,
     two_m: float,
     classes: list[int] | None = None,
+    polish: tuple[int, float, float] | None = None,
 ) -> tuple[float, int]:
     """The move-gain kernel: the best class for ``node`` and the gain of
     moving it there.
@@ -397,11 +381,21 @@ def _best_move(
     every candidate with a few multiply-adds.
 
     Candidates are ``classes`` in the given order, then a fresh class if
-    the node is not alone; the first best one wins. Without ``classes``
-    the candidates are the node's neighbour classes in ascending order and
-    staying put (gain 0, class ``a``) is the move to beat; with ``classes``
-    the best move is returned whatever the sign of its gain, or
-    ``(-inf, -1)`` if there is no candidate.
+    the node is not alone (the first empty slot, or a new one past the
+    last); the first best one wins. Without ``classes`` the candidates are
+    the node's neighbour classes in ascending order and staying put (gain
+    0, class ``a``) is the move to beat; with ``classes`` the best move is
+    returned whatever the sign of its gain, or ``(-inf, -1)`` if there is
+    no candidate.
+
+    ``polish = (last, s_max, tol)`` adds classes the node has no edge to,
+    which price at ``2 * (cd*D_b + cs*S_b - base)``: ``last`` (the class
+    the phase last moved a node into, or -1) after the neighbour classes,
+    then, if no candidate gains more than ``tol``, every nonempty class in
+    index order, an O(k) scan of the k class slots. The scan is skipped
+    when ``cd <= 0`` and ``2 * (cs*s_max - base) <= tol`` (``s_max`` bounds
+    every class size), since then no such class gains more than ``tol``.
+    So a returned gain of at most ``tol`` proves that no class gains more.
     """
     labels = level.labels
     cls_deg, cls_size = level.cls_deg, level.cls_size
@@ -422,6 +416,10 @@ def _best_move(
         best_gain, best_class = 0.0, a
     else:
         best_gain, best_class = -math.inf, -1
+    if polish is not None:
+        last, s_max, tol = polish
+        if last >= 0 and cls_size[last] > 0.0:
+            classes.append(last)
     for b in classes:
         if b == a:
             continue
@@ -429,21 +427,36 @@ def _best_move(
         if gain > best_gain:
             best_gain, best_class = gain, b
     # A fresh class is a candidate unless the node is alone (moving it to a
-    # new empty class would be a no-op); the O(k) search for an empty class
+    # new empty class would be a no-op); the O(k) search for an empty slot
     # runs only when the fresh class wins.
     if cls_size[a] > s:
         gain = -2.0 * base
-        if gain > best_gain and 0.0 in cls_size:
-            best_gain, best_class = gain, cls_size.index(0.0)
+        if gain > best_gain:
+            best_gain = gain
+            best_class = cls_size.index(0.0) if 0.0 in cls_size else len(cls_size)
+    if (
+        polish is not None
+        and best_gain <= tol
+        and (cd > 0.0 or (cs > 0.0 and 2.0 * (cs * s_max - base) > tol))
+    ):
+        for b, size_b in enumerate(cls_size):
+            if size_b > 0.0 and b != a:
+                gain = 2.0 * (cw * get(b, 0.0) + cd * cls_deg[b] + cs * size_b - base)
+                if gain > best_gain:
+                    best_gain, best_class = gain, b
     return best_gain, best_class
 
 
 def _move(level: _Level, node: int, dst: int) -> int:
-    """Reassign ``node`` to class ``dst``; returns its former class. An
-    emptied class gets degree mass exactly 0, free of rounding residue."""
+    """Reassign ``node`` to class ``dst``, opening a slot if ``dst`` is
+    one past the last; returns its former class. An emptied class gets
+    degree mass exactly 0, free of rounding residue."""
     src = level.labels[node]
     d = level.deg[node]
     s = level.size[node]
+    if dst == len(level.cls_size):
+        level.cls_deg.append(0.0)
+        level.cls_size.append(0.0)
     level.labels[node] = dst
     level.cls_size[src] -= s
     level.cls_deg[src] = level.cls_deg[src] - d if level.cls_size[src] else 0.0
@@ -458,31 +471,39 @@ def _run_passes(
     level: _Level,
     node_map: np.ndarray,
     tol: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     trace: list[float],
+    polish: bool = False,
 ) -> int:
     """One queue-driven local-move phase at one level (the fast local move
     of Traag, Waltman & van Eck, Sci. Rep. 9, 5233, 2019).
 
-    Every node is queued once, in shuffled order. A visited node moves if
-    its best gain exceeds ``tol``; a move queues the node's neighbours that
-    are neither queued nor in its new class, whose class weights it
-    changed. The phase ends when the queue is empty or after
-    ``_MAX_SWEEPS * m`` visits (``m`` nodes at this level), the cap that
-    guarantees termination. If anything moved, the trace gets the composed
-    original-level score. Returns the number of moves.
+    Every node is queued once, in shuffled order (index order if ``rng`` is
+    None). A visited node moves if its best gain exceeds ``tol``; a move
+    queues the node's neighbours that are neither queued nor in its new
+    class, whose class weights it changed. The phase ends when the queue is
+    empty or after ``_MAX_SWEEPS * m`` visits (``m`` nodes at this level),
+    the cap that guarantees termination. If anything moved, the trace gets
+    the composed original-level score. Returns the number of moves.
 
-    An empty queue does not prove stability, since a move also changes the
-    class totals that non-neighbours price; a phase that moves nothing
-    does, since it visited every node.
+    A ``polish`` phase also prices the classes a node has no edge to (see
+    :func:`_best_move`): on the class graph its moves are merges, and at
+    the original resolution they are the moves no neighbour proposes; a
+    visit may then scan all k class slots, O(k). An empty queue does not
+    prove stability, since a move also changes the class totals that
+    non-neighbours price; a polish phase that moves nothing does, since it
+    visited every node and priced every class.
     """
     m = len(level.adj)
     g = sg.g
     block = criterion.block_evaluator
     labels = level.labels
-    queue = deque(rng.permutation(m).tolist())
+    cls_size = level.cls_size
+    queue = deque(range(m) if rng is None else rng.permutation(m).tolist())
     queued = [True] * m
     moves = 0
+    last = -1
+    s_max = max(cls_size)
     for _ in range(_MAX_SWEEPS * m):
         if not queue:
             break
@@ -490,10 +511,13 @@ def _run_passes(
         queued[node] = False
         # staying put prices at 0 and tol >= 0, so a gain above it is a
         # move to another class
-        gain, b = _best_move(level, node, block, g.n, g.total_weight_2m)
+        scan = (last, s_max, tol) if polish else None
+        gain, b = _best_move(level, node, block, g.n, g.total_weight_2m, polish=scan)
         if gain > tol:
             _move(level, node, b)
             moves += 1
+            last = b
+            s_max = max(s_max, cls_size[b])
             for j in level.adj[node]:
                 if not queued[j] and labels[j] != b:
                     queued[j] = True
@@ -501,66 +525,6 @@ def _run_passes(
     if moves:
         trace.append(sg.score(criterion, np.asarray(labels)[node_map]))
     return moves
-
-
-def _merge_classes(
-    sg: _SearchGraph,
-    criterion: LocalCriterion,
-    labels: np.ndarray,
-    tol: float,
-) -> tuple[np.ndarray, int]:
-    """Greedily merge whole classes while some pairwise merge gains.
-
-    Operates on class aggregates only (cross weight, degree mass, size), so
-    it can unite classes with no connecting edge; the single-node pass never
-    proposes those. Returns canonical labels and the merge count.
-    """
-    part = Partition.from_labels(labels)
-    k = part.k
-    labels = part.labels.copy()
-    if k == 1:
-        return labels, 0
-    g = sg.g
-    n = g.n
-    two_m = g.total_weight_2m
-    block = criterion.block_evaluator
-
-    cls_deg = np.bincount(labels, weights=g.degrees, minlength=k)
-    cls_size = np.bincount(labels, minlength=k).astype(float)
-    rows, cols, vals = sg.entries
-    w = np.bincount(
-        labels[rows] * k + labels[cols], weights=vals, minlength=k * k
-    ).reshape(k, k)
-
-    def pair_gains(row_w, deg_a, size_a):
-        return 2.0 * block(row_w, deg_a, cls_deg, size_a, cls_size, n, two_m)
-
-    gains = pair_gains(w, cls_deg[:, None], cls_size[:, None])
-    mask = np.ones((k, k), dtype=bool)
-    np.fill_diagonal(mask, False)
-
-    merges = 0
-    while True:
-        masked = np.where(mask, gains, -np.inf)
-        flat = int(np.argmax(masked))
-        a, b = divmod(flat, k)
-        if masked[a, b] <= tol:
-            break
-        # merge b into a
-        labels[labels == b] = a
-        w[a] += w[b]
-        w[:, a] += w[:, b]
-        cls_deg[a] += cls_deg[b]
-        cls_size[a] += cls_size[b]
-        mask[b, :] = False
-        mask[:, b] = False
-        gains[a] = pair_gains(w[a], cls_deg[a], cls_size[a])
-        gains[:, a] = gains[a]  # both criteria are symmetric in the blocks
-        merges += 1
-
-    if merges:
-        labels = Partition.from_labels(labels).labels.copy()
-    return labels, merges
 
 
 # Node visits a local-move phase may make, in sweeps of its level: the cap
@@ -589,7 +553,7 @@ def _escape_pass(
     Deterministic: nodes and classes are scanned in index order. Returns
     canonical labels and whether the kept prefix improved the score.
     """
-    level = _Level.from_partition(sg, Partition.from_labels(labels).labels)
+    level = _Level.from_partition(sg, _canonical(labels))
     cls_size = level.cls_size
     n = sg.g.n
     two_m = sg.g.total_weight_2m
@@ -625,7 +589,7 @@ def _escape_pass(
 
     for node, src, _dst in reversed(applied[best_len:]):
         _move(level, node, src)
-    return Partition.from_labels(level.labels).labels.copy(), best_cum > tol
+    return _canonical(level.labels), best_cum > tol
 
 
 def _polish(
@@ -636,17 +600,23 @@ def _polish(
     rng: np.random.Generator,
     trace: list[float],
 ) -> np.ndarray:
-    """Alternate whole-class merges with single-node refinement at the
-    original resolution (plus the escape pass on small graphs) until no
-    phase gains: the last refinement phase visited every node and moved
-    none, so the result is single-node locally optimal and merge-stable."""
+    """Alternate a merge phase with single-node refinement at the original
+    resolution (plus the escape pass on small graphs) until neither gains.
+
+    The merge phase runs on the class graph, every class a lone super-node
+    visited in index order (no draw from ``rng``), so its moves are merges,
+    adjacent or not. Both are polish phases: a visit may scan all k
+    classes, O(k), and when neither phase moves anything, no whole-class
+    merge and no single-node move gains more than ``tol``.
+    """
     identity = np.arange(sg.g.n)
     while True:
-        labels, merges = _merge_classes(sg, criterion, labels, tol)
-        if merges:
-            trace.append(sg.score(criterion, labels))
+        node_map = _canonical(labels)
+        classes = _Level.of_classes(sg, node_map)
+        merges = _run_passes(sg, criterion, classes, node_map, tol, None, trace, True)
+        labels = _canonical(np.asarray(classes.labels)[node_map])
         refine = _Level.from_partition(sg, labels)
-        moves = _run_passes(sg, criterion, refine, identity, tol, rng, trace)
+        moves = _run_passes(sg, criterion, refine, identity, tol, rng, trace, True)
         labels = np.asarray(refine.labels)
         if merges == 0 and moves == 0:
             if sg.g.n <= _ESCAPE_CAP:
@@ -663,20 +633,19 @@ def _single_run(
     tol: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, list[float]]:
-    """One full search: level loop, then :func:`_polish`."""
-    level = _Level.from_graph(sg)
+    """One full search: level loop, then :func:`_polish`. Each level is the
+    class graph of the last, built from the original entries."""
+    level = _Level(sg.adj, sg.deg, sg.size)
     node_map = np.arange(sg.g.n)
     trace = [sg.score(criterion, node_map)]
 
     while True:
         _run_passes(sg, criterion, level, node_map, tol, rng, trace)
-        next_level, old_to_new = level.aggregate()
-        if len(next_level.adj) == len(level.adj):
+        labels = _canonical(np.asarray(level.labels)[node_map])
+        if labels.max() + 1 == len(level.adj):
             break
-        node_map = old_to_new[node_map]
-        level = next_level
-
-    labels = Partition.from_labels(np.asarray(level.labels)[node_map]).labels.copy()
+        node_map = labels
+        level = _Level.of_classes(sg, node_map)
     return _polish(sg, criterion, labels, tol, rng, trace), trace
 
 

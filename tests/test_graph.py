@@ -92,14 +92,17 @@ def test_sparse_input_matches_dense():
 
 
 def test_edge_list_round_trip(tmp_path):
+    # gilbert(100, 0.01, rng=6) has an isolated last node, which the file
+    # must keep.
     g = cc.WeightedGraph.from_edges(
         5, [(0, 1, 1.5), (1, 4, 2.0), (2, 2, 0.25)]
     )
-    path = tmp_path / "g.tsv"
-    g.save_edge_list(path)
-    again = cc.load_edge_list(path)
-    assert again.n == 5
-    npt.assert_allclose(again.weights.toarray(), g.weights.toarray())
+    for g in (g, cc.gilbert(100, 0.01, rng=6)):
+        path = tmp_path / "g.tsv"
+        g.save_edge_list(path)
+        again = cc.load_edge_list(path)
+        assert again.n == g.n
+        npt.assert_allclose(again.weights.toarray(), g.weights.toarray())
 
 
 def test_edge_list_text_format():

@@ -1,6 +1,7 @@
 """Tests for partition scoring, the greedy search, and the exhaustive oracle."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -241,6 +242,20 @@ def test_louvain_groups_isolated_nodes_when_profitable():
     assert result.partition.labels[1] == result.partition.labels[2]
 
 
+def test_louvain_isolated_nodes_cost_linear_memory():
+    # 2999 isolated nodes reach the merge phase as singleton classes; they
+    # all join one class, which must not take memory quadratic in their count
+    g = cc.WeightedGraph.from_edges(3001, [(0, 3000, 1.0)])
+    tracemalloc.start()
+    try:
+        result = cc.louvain(g, cc.indetermination_criterion(), cc.LouvainConfig(seed=0, restarts=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.partition.k == 2
+    assert peak < 16 * 2**20
+
+
 def test_louvain_escapes_single_move_plateau():
     # from the plateau {0,2}{1,3}{4,5} no single move and no class merge
     # improves, yet {0,2,3}{1,4,5} scores higher; the forced-move escape
@@ -283,7 +298,7 @@ def random_level(rng, m=40, k=12):
     adj = [{j: float(a[i, j]) for j in np.flatnonzero(a[i])} for i in range(m)]
     self_w = rng.uniform(0.0, 4.0, m).tolist()
     deg = (a.sum(axis=1) + self_w).tolist()
-    level = _Level(adj, self_w, deg, rng.integers(1, 6, m).astype(float).tolist())
+    level = _Level(adj, deg, rng.integers(1, 6, m).astype(float).tolist())
     level.labels = rng.choice(rng.permutation(m)[:k], size=m).tolist()
     level.cls_deg, level.cls_size = [0.0] * m, [0.0] * m
     for i, c in enumerate(level.labels):
@@ -318,17 +333,38 @@ def reference_best_move(level, node, block, n, two_m, classes=None):
     return best
 
 
+def reference_polish_gains(level, node, block, n, two_m):
+    """The gain of every polish-mode candidate, priced with the block
+    formula itself: staying put (0), every other nonempty class and, unless
+    the node is alone, the fresh class."""
+    labels = level.labels
+    a, d, s = labels[node], level.deg[node], level.size[node]
+    w = {}
+    for j, wj in level.adj[node].items():
+        w[labels[j]] = w.get(labels[j], 0.0) + wj
+    base = block(w.get(a, 0.0), d, level.cls_deg[a] - d, s, level.cls_size[a] - s, n, two_m)
+    gains = {a: 0.0}
+    for b, size in enumerate(level.cls_size):
+        if size > 0 and b != a:
+            gains[b] = 2 * (block(w.get(b, 0.0), d, level.cls_deg[b], s, size, n, two_m) - base)
+    if level.cls_size[a] > s:
+        gains[level.cls_size.index(0.0)] = 2 * (block(0.0, d, 0.0, s, 0.0, n, two_m) - base)
+    return gains
+
+
 @pytest.mark.parametrize("criterion", [cc.independence_criterion(), cc.indetermination_criterion()])
 def test_best_move_matches_block_formula_reference(criterion):
     from coupleclust.louvain import _best_move
 
     rng = np.random.default_rng(5)
     block = criterion.block_evaluator
-    moved = fresh = 0
+    moved = fresh = far = 0
     for _ in range(20):
         level = random_level(rng)
         n, two_m = int(sum(level.size)), float(sum(level.deg))
         nonempty = [c for c, size in enumerate(level.cls_size) if size > 0]
+        tol = 1e-12 * abs(block(two_m, 0.0, 0.0, 0.0, 0.0, n, two_m))  # as _check_graph
+        s_max = max(level.cls_size)
         for node in range(len(level.adj)):
             for classes in (None, nonempty):
                 gain, b = _best_move(level, node, block, n, two_m, classes)
@@ -337,7 +373,25 @@ def test_best_move_matches_block_formula_reference(criterion):
                 assert abs(gain - ref_gain) <= 1e-12 * max(1.0, abs(ref_gain))
                 moved += b != level.labels[node]
                 fresh += level.cls_size[b] == 0.0
+            # Polish mode. A tolerance no gain exceeds forces the scan of every
+            # class and s_max = inf disables its skip, so the kernel must find
+            # the reference's best gain, at a class that ties with it.
+            ref = reference_polish_gains(level, node, block, n, two_m)
+            top = max(ref.values())
+            close = 1e-12 * max(1.0, abs(top))
+            last = nonempty[node % len(nonempty)]
+            gain, b = _best_move(level, node, block, n, two_m, polish=(last, np.inf, np.finfo(float).max))
+            assert abs(gain - top) <= close and abs(ref[b] - top) <= close
+            # At the search tolerance the kernel may stop at any gaining
+            # candidate, and may skip the scan only where no class gains.
+            gain, b = _best_move(level, node, block, n, two_m, polish=(last, s_max, tol))
+            assert (gain > tol) == (top > tol)
+            assert gain <= top + close and abs(ref[b] - gain) <= close
+            best = max(ref, key=ref.get)
+            near = {level.labels[j] for j in level.adj[node]} | {last}
+            far += top > tol and level.cls_size[best] > 0 and best not in near
     assert moved > 100 and fresh > 10
+    assert far > 0 if criterion.kind == "indetermination" else far == 0
 
 
 def test_restarts_tie_to_the_first_within_tolerance():

@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import coupleclust as cc
-from coupleclust.louvain import _ESCAPE_CAP, _check_graph, _score_labels, _stored_entries
+from coupleclust.louvain import (
+    _ESCAPE_CAP,
+    _Level,
+    _SearchGraph,
+    _check_graph,
+    _score_labels,
+    _stored_entries,
+)
 from conftest import brute_force_score
 
 CRITERIA = (cc.independence_criterion(), cc.indetermination_criterion())
@@ -127,6 +134,32 @@ def test_score_ignores_node_relabelling(case, criterion, random):
 
 
 @PROPERTY
+@given(graphs_with_labels())
+def test_class_graph_matches_pair_loop(case):
+    # The level builder against a plain loop over the stored pairs: every
+    # class a lone super-node, the weight between distinct classes, and the
+    # class degree mass and size.
+    g, part = case
+    labels = part.labels.tolist()
+    a = g.weights.toarray()
+    adj = [{} for _ in range(part.k)]
+    deg, size = [0.0] * part.k, [0.0] * part.k
+    for i, c in enumerate(labels):
+        deg[c] += g.degrees[i]
+        size[c] += 1.0
+        for j, e in enumerate(labels):
+            if a[i, j] and c != e:
+                adj[c][e] = adj[c].get(e, 0.0) + a[i, j]
+    level = _Level.of_classes(_SearchGraph(g), part.labels)
+    assert level.labels == list(range(part.k))
+    assert (level.deg, level.size) == (deg, size)
+    assert [sorted(row) for row in level.adj] == [sorted(row) for row in adj]
+    for got, want in zip(level.adj, adj):
+        for e, w in want.items():
+            assert abs(got[e] - w) <= 1e-12 * w
+
+
+@PROPERTY
 @given(graphs(), st.sampled_from(CRITERIA), st.integers(0, 2**32 - 1))
 def test_louvain_trace_never_decreases(g, criterion, seed):
     assume(g.total_weight_2m > 0)
@@ -187,13 +220,15 @@ def test_louvain_result_is_merge_stable(g, criterion, seed):
 def test_louvain_optimality_above_escape_cap(criterion):
     # Above _ESCAPE_CAP no escape pass runs, so single-node optimality rests
     # on the last refinement phase alone: it queued every node and moved none.
-    g = cc.gilbert(200, 0.03, rng=11)
-    assert g.n > _ESCAPE_CAP
-    cfg = cc.LouvainConfig(seed=0, restarts=2)
-    part = cc.louvain(g, criterion, cfg).partition
-    score = cc.global_score(g, criterion, part)
-    bound = score + _check_graph(g, criterion) + 1e-12 * max(1.0, abs(score))
-    for neighbours in (one_node_moves, two_class_merges):
-        for other in neighbours(part.labels, part.k):
-            moved = cc.global_score(g, criterion, cc.Partition.from_labels(other))
-            assert moved <= bound, (other, moved, score)
+    # In gilbert(300, 0.02, rng=3) a node gains by joining a class it has no
+    # edge to under indetermination, so that phase must price such classes.
+    for g in (cc.gilbert(200, 0.03, rng=11), cc.gilbert(300, 0.02, rng=3)):
+        assert g.n > _ESCAPE_CAP
+        cfg = cc.LouvainConfig(seed=0, restarts=2)
+        part = cc.louvain(g, criterion, cfg).partition
+        score = cc.global_score(g, criterion, part)
+        bound = score + _check_graph(g, criterion) + 1e-12 * max(1.0, abs(score))
+        for neighbours in (one_node_moves, two_class_merges):
+            for other in neighbours(part.labels, part.k):
+                moved = cc.global_score(g, criterion, cc.Partition.from_labels(other))
+                assert moved <= bound, (g.n, other, moved, score)
