@@ -405,6 +405,10 @@ class DeltaEstimate:
         }
 
 
+# Margin entries drawn at once by _delta_stream.
+_DRAW_CELLS = 1 << 16
+
+
 def _delta_stream(p: int, q: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Squared coupling distances for ``m`` flat-Dirichlet margin pairs.
 
@@ -413,14 +417,23 @@ def _delta_stream(p: int, q: int, m: int, rng: np.random.Generator) -> np.ndarra
     the additive cells are used unchecked, so Condition H plays no role.
     The cell difference factorizes,
     ``mu_u nu_v - (mu_u/q + nu_v/p - 1/(pq)) = (mu_u - 1/p)(nu_v - 1/q)``,
-    so the distance is ``sum_u (mu_u - 1/p)**2 * sum_v (nu_v - 1/q)**2``,
-    O(m (p + q)) with no p x q array.
+    so the distance is ``sum_u (mu_u - 1/p)**2 * sum_v (nu_v - 1/q)**2``.
+
+    All ``m`` margins ``mu`` are drawn first, then all ``nu``, each in
+    chunks of rows of at most ``_DRAW_CELLS`` entries; a chunk is reduced
+    to its factors at once. Chunked draws consume the stream as one
+    ``(m, p)`` and one ``(m, q)`` draw would and row sums do not depend on
+    the chunk, so the result is the same to the last bit. O(m (p + q))
+    time; memory O(m) for the result plus one chunk.
     """
-    mu = rng.exponential(size=(m, p))
-    mu /= mu.sum(axis=1, keepdims=True)
-    nu = rng.exponential(size=(m, q))
-    nu /= nu.sum(axis=1, keepdims=True)
-    return ((mu - 1.0 / p) ** 2).sum(axis=1) * ((nu - 1.0 / q) ** 2).sum(axis=1)
+    d2 = np.ones(m)
+    for k in (p, q):
+        step = max(1, _DRAW_CELLS // k)
+        for lo in range(0, m, step):
+            x = rng.exponential(size=(min(step, m - lo), k))
+            x /= x.sum(axis=1, keepdims=True)
+            d2[lo : lo + x.shape[0]] *= ((x - 1.0 / k) ** 2).sum(axis=1)
+    return d2
 
 
 def delta_monte_carlo(

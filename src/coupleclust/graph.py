@@ -432,6 +432,18 @@ class BiasHistogram:
         return json.dumps(self.to_json_dict())
 
 
+def _degree_rows(n: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Degree law of one endpoint under the idealized degree model, given
+    the pair value ``b = 0`` and ``b = 1``: ``P(d | b) = C(n-1, d-b)
+    eps**(d-b) (1-eps)**(n-1-d+b)`` over ``d = 0..n``. The one place the
+    model's ``n`` and ``eps`` are validated."""
+    if n < 1:
+        raise NonPositiveDimension("n must be >= 1")
+    _check_eps(eps, allow_zero=False)
+    k = np.arange(n + 1)
+    return binom.pmf(k, n - 1, eps), binom.pmf(k - 1, n - 1, eps)
+
+
 def theoretical_joint_pmf(n: int, eps: float) -> np.ndarray:
     """Joint law of ``(a_ij, a_i, a_j)`` under the idealized degree model.
 
@@ -453,15 +465,7 @@ def theoretical_joint_pmf(n: int, eps: float) -> np.ndarray:
         Read-only array of shape (2, n+1, n+1); ``[b, d_i, d_j]`` indexes
         the mass. Sums to 1.
     """
-    if n < 1:
-        raise NonPositiveDimension("n must be >= 1")
-    if not 0.0 < eps <= 1.0:
-        if eps == 0.0:
-            raise ZeroEps("eps must be positive")
-        raise ValueError(f"eps must lie in (0, 1], got {eps!r}")
-    k = np.arange(n + 1)
-    row0 = binom.pmf(k, n - 1, eps)
-    row1 = binom.pmf(k - 1, n - 1, eps)
+    row0, row1 = _degree_rows(n, eps)
     mass = np.stack(
         [(1.0 - eps) * np.outer(row0, row0), eps * np.outer(row1, row1)]
     )
@@ -469,16 +473,62 @@ def theoretical_joint_pmf(n: int, eps: float) -> np.ndarray:
     return mass
 
 
-def _bias_grids(n: int, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(b_plus, b_times, mass-over-b) grids on the (d_i, d_j) lattice."""
+# Lattice cells (row x threshold) evaluated at once by _affine_law.
+_BLOCK_CELLS = 1 << 16
+
+
+def _affine_law(
+    rows: tuple[np.ndarray, np.ndarray],
+    eps: float,
+    slope: np.ndarray,
+    offset: np.ndarray,
+    edges: np.ndarray,
+    which: str,
+) -> BiasHistogram:
+    """Exact binned law of ``v = slope[d_i] * d_j + offset[d_i]`` when
+    ``(d_i, d_j)`` follows :func:`theoretical_joint_pmf` summed over ``b``,
+    without its (n+1)**2 lattice.
+
+    That law is ``(1-eps) p0[d_i] p0[d_j] + eps p1[d_i] p1[d_j]`` with
+    ``(p0, p1) = rows`` from :func:`_degree_rows`. In row ``d_i`` the set
+    ``{d_j : v < e}`` is a prefix of ``0..n`` (slope > 0), a suffix
+    (slope < 0) or all or nothing (slope 0), so its mass is one entry of a
+    prefix or suffix sum of ``p0`` and of ``p1``. Bins are half-open,
+    ``[e_k, e_{k+1})``, as in ``np.histogram``; values below the first or
+    above the last edge fall in the end bins. O(n * bins) time; memory
+    O(n + bins) plus one block of ``_BLOCK_CELLS`` cells.
+    """
+    size = rows[0].size  # n + 1 degrees
+    weights = ((1.0 - eps) * rows[0], eps * rows[1])
+    # per component: P(d_j < k) for k = 0..n+1, then P(d_j >= k)
+    tables = [
+        np.concatenate(([0.0], np.cumsum(p), np.cumsum(p[::-1])[::-1], [0.0]))
+        for p in rows
+    ]
+    cuts = np.concatenate(([-np.inf], edges[1:-1], [np.inf]))
+    live = np.flatnonzero(weights[0] + weights[1])  # rows without mass add 0
+    counts = np.zeros(edges.size - 1)
+    step = max(1, _BLOCK_CELLS // cuts.size)
+    for lo in range(0, live.size, step):
+        r = live[lo : lo + step]
+        a, c = slope[r, None], offset[r, None]
+        flat = a == 0.0
+        t = (cuts - c) / np.where(flat, 1.0, a)
+        # prefix rows count d_j < t, suffix rows d_j <= t; flat rows all or none
+        k = np.where(a > 0.0, np.ceil(t), np.floor(t) + 1.0)
+        k = np.where(flat, (c < cuts) * float(size), np.clip(k, 0.0, size))
+        idx = k.astype(np.intp) + np.where(a < 0.0, size + 1, 0)
+        for w, table in zip(weights, tables):
+            counts += w[r] @ np.diff(table[idx], axis=1)
+    return BiasHistogram(bin_edges=edges, counts=counts, which=which)
+
+
+def _law_inputs(n: int, eps: float, bins: int, which: str):
+    """Validated inputs of the exact laws: the degree rows, the degree grid
+    ``0..n`` and the bin edges."""
     _check_node_pair(n)
-    mass = theoretical_joint_pmf(n, eps)
-    d = np.arange(n + 1, dtype=float)
-    di = d[:, None]
-    dj = d[None, :]
-    b_plus = di / n + dj / n - eps
-    b_times = di * dj / (n * n * eps)
-    return b_plus, b_times, mass[0] + mass[1]
+    rows = _degree_rows(n, eps)
+    return rows, np.arange(n + 1, dtype=float), bias_bin_edges(eps, bins, which)
 
 
 def _mass_histogram(
@@ -498,10 +548,16 @@ def theoretical_bias_difference_distribution(
 
     The difference collapses to ``-x*y / (n**2 * eps)`` with ``x, y`` the
     centered degrees, so its mass concentrates near 0 at rate 1/n.
+
+    Computed row by row of the degree lattice (see :func:`_affine_law`):
+    O(n * bins) time and memory bounded whatever ``n``; no (n+1)**2 array
+    is built. Bins are half-open ``[e_k, e_{k+1})``, the last one closed,
+    out-of-range mass goes to the end bins; a value lying on an edge up
+    to rounding may land on either side of it.
     """
-    b_plus, b_times, weights = _bias_grids(n, eps)
-    edges = bias_bin_edges(eps, bins, "difference")
-    return _mass_histogram(b_plus - b_times, weights, edges, "difference")
+    rows, d, edges = _law_inputs(n, eps, bins, "difference")
+    slope = (n * eps - d) / (n * n * eps)  # exactly 0 on the row d_i = n eps
+    return _affine_law(rows, eps, slope, d / n - eps, edges, "difference")
 
 
 def theoretical_bias_histograms(
@@ -510,14 +566,18 @@ def theoretical_bias_histograms(
     """Marginal distributions of ``b_x`` and ``b_+`` under the idealized
     degree model, binned on the shared grid.
 
-    Returns ``(times_hist, plus_hist)``.
+    Returns ``(times_hist, plus_hist)``. Cost and tie rule as in
+    :func:`theoretical_bias_difference_distribution`: O(n * bins) time,
+    bounded memory, no (n+1)**2 lattice.
     """
-    b_plus, b_times, weights = _bias_grids(n, eps)
-    edges = bias_bin_edges(eps, bins, "common")
-    return (
-        _mass_histogram(b_times, weights, edges, "independence"),
-        _mass_histogram(b_plus, weights, edges, "indetermination"),
+    rows, d, edges = _law_inputs(n, eps, bins, "common")
+    times = _affine_law(
+        rows, eps, d / (n * n * eps), np.zeros_like(d), edges, "independence"
     )
+    plus = _affine_law(
+        rows, eps, np.full_like(d, 1.0 / n), d / n - eps, edges, "indetermination"
+    )
+    return times, plus
 
 
 def _bias_stream(

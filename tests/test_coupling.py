@@ -1,6 +1,8 @@
 """Tests for margins, the two closed-form couplings, and the mean gap."""
 
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -250,6 +252,44 @@ def test_delta_monte_carlo_thread_pool_matches_sequential(monkeypatch):
     monkeypatch.setenv("COUPLECLUST_THREADS", "1")
     b = cc.delta_monte_carlo(4, 2, 6_000, rng=13, n_streams=3)
     assert a.mean == b.mean
+
+
+def batch_delta(p, q, m, seed, n_streams):
+    """Reference: one (m, p) and one (m, q) Dirichlet draw per stream, the
+    delta estimate as first computed."""
+    from coupleclust._mc import run_streams
+
+    def stream(rng, m):
+        mu = rng.exponential(size=(m, p))
+        mu /= mu.sum(axis=1, keepdims=True)
+        nu = rng.exponential(size=(m, q))
+        nu /= nu.sum(axis=1, keepdims=True)
+        return ((mu - 1.0 / p) ** 2).sum(axis=1) * ((nu - 1.0 / q) ** 2).sum(axis=1)
+
+    d2 = np.concatenate(run_streams(stream, m, seed, n_streams))
+    std_error = float(d2.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
+    return float(d2.mean()), std_error
+
+
+@pytest.mark.parametrize(
+    "p, q, m, seed, n_streams",
+    [(3, 4, 200_000, 7, 1), (1, 1, 5, 0, 1), (10, 10, 200_001, 3, 2), (2, 9, 70_000, 11, 3)],
+)
+def test_delta_monte_carlo_chunked_draws_are_bit_identical(p, q, m, seed, n_streams):
+    est = cc.delta_monte_carlo(p, q, m, rng=seed, n_streams=n_streams)
+    assert (est.mean, est.std_error) == batch_delta(p, q, m, seed, n_streams)
+
+
+def test_delta_monte_carlo_memory_is_bounded():
+    # the whole (m, 10) draws alone would take 80 MB each
+    tracemalloc.start()
+    try:
+        est = cc.delta_monte_carlo(10, 10, 1_000_000, rng=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(est.mean - cc.delta_closed_form(10, 10)) <= 5 * est.std_error
+    assert peak < 40 * 2**20
 
 
 def test_sample_dirichlet_is_a_margin():

@@ -1,5 +1,7 @@
 """Tests for graphs, the two local criteria, and the bias distributions."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -386,6 +388,102 @@ def test_theoretical_bias_histograms_share_grid_and_mass():
     npt.assert_allclose(plus.total, 1.0, atol=1e-12)
     assert times.which == "independence"
     assert plus.which == "indetermination"
+
+
+def lattice_bias_laws(n, eps, bins):
+    """Reference: every (d_i, d_j) lattice point, binned with np.histogram
+    after clipping into the grid, as the laws were first computed. Returns
+    ``{which: (values, weights, edges, counts)}``."""
+    mass = cc.theoretical_joint_pmf(n, eps)
+    weights = (mass[0] + mass[1]).ravel()
+    d = np.arange(n + 1, dtype=float)
+    b_plus = (d[:, None] / n + d[None, :] / n - eps).ravel()
+    b_times = (d[:, None] * d[None, :] / (n * n * eps)).ravel()
+    common = cc.bias_bin_edges(eps, bins, "common")
+    laws = {
+        "independence": (b_times, common),
+        "indetermination": (b_plus, common),
+        "difference": (b_plus - b_times, cc.bias_bin_edges(eps, bins, "difference")),
+    }
+    out = {}
+    for which, (values, edges) in laws.items():
+        clipped = np.clip(values, edges[0], edges[-1])
+        counts, _ = np.histogram(clipped, bins=edges, weights=weights)
+        out[which] = (values, weights, edges, counts)
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, eps, bins",
+    [
+        (2, 0.5, 8),
+        (2, 1.0, 200),
+        (7, 0.5, 200),
+        (50, 0.3, 200),
+        (123, 0.77, 200),
+        (300, 0.01, 200),
+        (500, 0.5, 200),
+        (1000, 0.9, 200),
+        (2000, 0.3, 200),
+        (30, 0.3, 48),
+    ],
+)
+def test_exact_bias_laws_match_lattice_reference(n, eps, bins):
+    # A lattice value on a bin edge falls on either side depending on
+    # rounding, so the CDFs may differ at an edge by the reference mass
+    # lying within 1e-9 relative of it, and elsewhere only by rounding.
+    times, plus = cc.theoretical_bias_histograms(n, eps, bins)
+    diff = cc.theoretical_bias_difference_distribution(n, eps, bins)
+    reference = lattice_bias_laws(n, eps, bins)
+    for hist in (times, plus, diff):
+        values, weights, edges, counts = reference[hist.which]
+        npt.assert_array_equal(hist.bin_edges, edges)
+        assert abs(hist.total - 1.0) <= 1e-12
+        assert hist.counts.min() >= 0.0
+        inner = edges[1:-1]
+        tol = 1e-9 * np.maximum(1.0, np.abs(inner))
+        order = np.argsort(values)
+        below = np.concatenate(([0.0], np.cumsum(weights[order])))
+        sorted_values = values[order]
+        tie = (
+            below[np.searchsorted(sorted_values, inner + tol, side="right")]
+            - below[np.searchsorted(sorted_values, inner - tol, side="left")]
+        )
+        gap = np.abs(np.cumsum(hist.counts)[:-1] - np.cumsum(counts)[:-1])
+        assert np.all(gap <= tie + 1e-12), (hist.which, (gap - tie).max())
+
+
+def test_exact_bias_laws_build_no_lattice():
+    # at n = 2000 one (n+1)**2 float lattice alone takes 32 MB
+    tracemalloc.start()
+    try:
+        times, plus = cc.theoretical_bias_histograms(2000, 0.3)
+        diff = cc.theoretical_bias_difference_distribution(2000, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(times.total - 1.0) <= 1e-12 and abs(diff.total - 1.0) <= 1e-12
+    assert peak < 24 * 2**20
+
+
+@pytest.mark.parametrize(
+    "law",
+    [cc.theoretical_bias_histograms, cc.theoretical_bias_difference_distribution],
+    ids=["histograms", "difference"],
+)
+def test_exact_bias_laws_validate_n_then_eps_then_bins(law):
+    cases = [
+        ((1, float("nan"), 0), cc.NonPositiveDimension),
+        ((5, float("nan"), 0), ValueError),
+        ((5, 1.5, 0), ValueError),
+        ((5, -0.1, 200), ValueError),
+        ((5, 0.0, 0), cc.ZeroEps),
+        ((5, 0.5, 0), cc.NonPositiveDimension),
+    ]
+    for args, error in cases:
+        with pytest.raises(error) as info:
+            law(*args)
+        assert type(info.value) is error, (args, info.value)
 
 
 def test_empirical_bias_samples_shapes_and_determinism():
