@@ -106,10 +106,16 @@ class WeightedGraph:
             arr.flags.writeable = False
         self._csr = mat
         self.n = mat.shape[0]
-        degrees = np.asarray(mat.sum(axis=1), dtype=float).ravel()
+        # finite weights can still sum past the float range; the degrees are
+        # nonnegative, so one infinite degree makes 2M infinite too
+        with np.errstate(over="ignore"):
+            degrees = np.asarray(mat.sum(axis=1), dtype=float).ravel()
+            two_m = float(degrees.sum())
+        if not np.isfinite(two_m):
+            raise NonFiniteEntry("degrees and total weight overflow: the weights are too large")
         degrees.flags.writeable = False
         self.degrees = degrees
-        self.total_weight_2m = float(degrees.sum())
+        self.total_weight_2m = two_m
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "WeightedGraph":

@@ -1,8 +1,20 @@
 """Shared test helpers."""
 
+import multiprocessing
+
 import numpy as np
+import pytest
 
 from coupleclust import check_condition_h, sample_dirichlet
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running, as a search whose
+    worker pool is not joined would."""
+    yield
+    left = multiprocessing.active_children()
+    assert not left, f"child processes left running: {left}"
 
 
 def h_valid_margin_pair(p, q, rng, max_tries=1_000_000):

@@ -8,6 +8,7 @@ to check the exit statuses across the process boundary.
 """
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -436,6 +437,41 @@ def test_best_exhaustive_too_large(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["best-exhaustive", str(path)])
     assert code == 1
     assert_single_json_error(err, "TooLarge")
+
+
+def test_cluster_dead_restart_worker_reports_memory_error(capsys, monkeypatch, tmp_path):
+    # A restart worker killed without a Python exception (as the OOM killer
+    # kills) fails like any other error and leaves no child process.
+    louvain_module = sys.modules["coupleclust.louvain"]
+    g = coupleclust.gilbert(150, 0.1, rng=1)
+    sg = louvain_module._SearchGraph(g)
+    if not louvain_module._can_fork(sg, min(8, louvain_module._usable_cpus())):
+        pytest.skip("restarts race in-process here")
+    parent = os.getpid()
+
+    def killed(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        raise AssertionError("restart ran in the calling process")
+
+    monkeypatch.setattr(louvain_module, "_single_run", killed)
+    path = tmp_path / "gilbert.tsv"
+    g.save_edge_list(path)
+    code, out, err = run_cli(capsys, ["cluster", str(path)])
+    assert code == 1
+    assert out == ""
+    assert_single_json_error(err, "MemoryError")
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("criterion", ["independence", "indetermination"])
+def test_cluster_rejects_weights_whose_sums_overflow(capsys, tmp_path, criterion):
+    path = tmp_path / "huge.tsv"
+    path.write_text("0\t1\t1e308\n1\t2\t1e308\n")
+    code, out, err = run_cli(capsys, ["cluster", str(path), "--criterion", criterion])
+    assert code == 1
+    assert out == ""
+    assert_single_json_error(err, "NonFiniteEntry")
 
 
 def test_malformed_edge_list_reports_parse_error(capsys, tmp_path):

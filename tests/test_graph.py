@@ -50,6 +50,17 @@ def test_weighted_graph_rejects_non_finite_weights(bad, tmp_path):
         cc.load_edge_list(path)
 
 
+def test_weighted_graph_rejects_weights_whose_sums_overflow():
+    # every weight is finite, but node 1's degree and 2M are not
+    with pytest.raises(cc.NonFiniteEntry, match="overflow"):
+        cc.WeightedGraph.from_edges(3, [(0, 1, 1e308), (1, 2, 1e308)])
+    # finite degrees whose sum, 2M, overflows
+    with pytest.raises(cc.NonFiniteEntry, match="overflow"):
+        cc.WeightedGraph.from_edges(4, [(0, 1, 1e308), (2, 3, 1e308)])
+    g = cc.WeightedGraph.from_edges(3, [(0, 1, 1e307), (1, 2, 1e307)])
+    assert np.isfinite(g.total_weight_2m)
+
+
 def test_weighted_graph_basic_accessors():
     g = cc.WeightedGraph.from_edges(
         4, [(0, 1, 2.0), (1, 2, 1.0), (3, 3, 5.0)]

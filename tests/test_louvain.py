@@ -1,6 +1,12 @@
 """Tests for partition scoring, the greedy search, and the exhaustive oracle."""
 
+import faulthandler
 import functools
+import multiprocessing
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,6 +15,9 @@ import pytest
 
 import coupleclust as cc
 from conftest import brute_force_score
+
+# the submodule, which the package-level function of the same name shadows
+louvain_module = sys.modules["coupleclust.louvain"]
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140, 9: 21147}
 
@@ -394,31 +403,153 @@ def test_best_move_matches_block_formula_reference(criterion):
     assert far > 0 if criterion.kind == "indetermination" else far == 0
 
 
+def in_process_runs(g, crit, cfg):
+    """Every restart of ``louvain(g, crit, cfg)`` run here, one after
+    another, in stream order; and the search tolerance."""
+    sg = louvain_module._SearchGraph(g)
+    tol = louvain_module._check_graph(g, crit)
+    streams = np.random.default_rng(cfg.seed).spawn(cfg.restarts)
+    return [louvain_module._single_run(sg, crit, tol, stream) for stream in streams], tol
+
+
+def race_winner(runs, tol):
+    """The race's tie rule: the first run within ``tol`` of the best."""
+    top = max(trace[-1] for _, trace in runs)
+    return next(run for run in runs if run[1][-1] >= top - tol)
+
+
+def assert_result_is_run(result, labels, trace):
+    npt.assert_array_equal(result.partition.labels, cc.Partition.from_labels(labels).labels)
+    assert result.score == trace[-1]
+    assert result.trace == tuple(trace)
+
+
 def test_restarts_tie_to_the_first_within_tolerance():
     # On karate several restarts reach the same partition score, some
     # differing in the last bits; the first restart within the search
     # tolerance of the best must win, as in the exhaustive search, not the
     # one that happens to round highest.
-    from coupleclust.louvain import _check_graph, _SearchGraph, _single_run
-
     g = cc.load_karate()
     cfg = cc.LouvainConfig(seed=0)
     rounded_apart = False
     for crit in (cc.independence_criterion(), cc.indetermination_criterion()):
-        sg = _SearchGraph(g)
-        tol = _check_graph(g, crit)
-        streams = np.random.default_rng(cfg.seed).spawn(cfg.restarts)
-        runs = [_single_run(sg, crit, tol, stream) for stream in streams]
+        runs, tol = in_process_runs(g, crit, cfg)
         scores = np.array([trace[-1] for _, trace in runs])
         top = scores.max()
         tied = np.flatnonzero(scores >= top - tol)
         assert tied.size > 1
         rounded_apart |= scores[tied[0]] < top
-        result = cc.louvain(g, crit, cfg)
-        labels, trace = runs[tied[0]]
-        assert result.trace == tuple(trace)
-        npt.assert_array_equal(result.partition.labels, cc.Partition.from_labels(labels).labels)
+        assert_result_is_run(cc.louvain(g, crit, cfg), *runs[tied[0]])
     assert rounded_apart
+
+
+# Fixed Gilbert graphs around the stored-entry count from which the restarts
+# race on forked workers: 2248 and 2186 entries, then 1874.
+RACE_GRAPHS = {
+    "above-150": (lambda: cc.gilbert(150, 0.1, rng=1), True),
+    "above-300": (lambda: cc.gilbert(300, 0.025, rng=4), True),
+    "below-200": (lambda: cc.gilbert(200, 0.05, rng=6), False),
+}
+
+
+def forks(g, restarts: int) -> bool:
+    """Whether ``louvain`` races ``restarts`` restarts on ``g`` on forked
+    workers here: the graph is big enough and the host can."""
+    workers = min(restarts, louvain_module._usable_cpus())
+    return louvain_module._can_fork(louvain_module._SearchGraph(g), workers)
+
+
+@pytest.fixture
+def runs_here(monkeypatch):
+    """Process ids of the restarts run in this process: a forked restart
+    runs in a worker and leaves no entry."""
+    pids = []
+    single_run = louvain_module._single_run
+
+    def recorded(*args):
+        pids.append(os.getpid())
+        return single_run(*args)
+
+    monkeypatch.setattr(louvain_module, "_single_run", recorded)
+    return pids
+
+
+@pytest.mark.parametrize("graph", sorted(RACE_GRAPHS))
+def test_forked_race_equals_in_process_race(graph, runs_here):
+    build, above = RACE_GRAPHS[graph]
+    g = build()
+    assert (g.weights.nnz >= louvain_module._FORK_MIN_ENTRIES) == above
+    sg = louvain_module._SearchGraph(g)
+    for crit in CRITERIA:
+        for seed in range(5):
+            cfg = cc.LouvainConfig(seed=seed, restarts=3)
+            runs, tol = in_process_runs(g, crit, cfg)
+            # every run, not just the winner, comes back in stream order
+            streams = np.random.default_rng(seed).spawn(cfg.restarts)
+            raced = louvain_module._race(sg, crit, tol, streams)
+            assert [trace for _, trace in raced] == [trace for _, trace in runs]
+            for (labels, _), (expected, _) in zip(raced, runs):
+                npt.assert_array_equal(labels, expected)
+            runs_here.clear()
+            assert_result_is_run(cc.louvain(g, crit, cfg), *race_winner(runs, tol))
+            assert len(runs_here) == (0 if forks(g, cfg.restarts) else cfg.restarts)
+
+
+def test_single_restart_runs_in_process(runs_here):
+    # the all-in-one fallback reuses the only stream after its run, so a
+    # single restart never forks, however big the graph
+    g = RACE_GRAPHS["above-150"][0]()
+    for crit in CRITERIA:
+        sg = louvain_module._SearchGraph(g)
+        tol = louvain_module._check_graph(g, crit)
+        labels, trace = louvain_module._single_run(sg, crit, tol, np.random.default_rng(3))
+        runs_here.clear()
+        assert_result_is_run(cc.louvain(g, crit, cc.LouvainConfig(seed=3, restarts=1)), labels, trace)
+        assert len(runs_here) == 1
+
+
+def test_live_thread_keeps_the_race_in_process(runs_here):
+    g = RACE_GRAPHS["above-300"][0]()
+    crit = cc.indetermination_criterion()
+    cfg = cc.LouvainConfig(seed=1, restarts=3)
+    winner = race_winner(*in_process_runs(g, crit, cfg))
+    release = threading.Event()
+    parked = threading.Thread(target=release.wait)
+    parked.start()
+    try:
+        runs_here.clear()
+        result = cc.louvain(g, crit, cfg)
+    finally:
+        release.set()
+        parked.join(timeout=10)
+    assert not parked.is_alive()
+    assert len(runs_here) == cfg.restarts
+    assert_result_is_run(result, *winner)
+
+
+def test_dead_worker_raises_memory_error(monkeypatch):
+    g = RACE_GRAPHS["above-150"][0]()
+    if not forks(g, cc.LouvainConfig().restarts):
+        pytest.skip("restarts race in-process here")
+    parent = os.getpid()
+
+    def killed(*args):
+        # a worker dies without a Python exception, as the OOM killer leaves it
+        if os.getpid() != parent:
+            os._exit(1)
+        raise AssertionError("restart ran in the calling process")
+
+    monkeypatch.setattr(louvain_module, "_single_run", killed)
+    # a hang here would block the whole run: dump the stacks and exit instead
+    faulthandler.dump_traceback_later(120, exit=True)
+    try:
+        start = time.perf_counter()
+        with pytest.raises(MemoryError, match="died"):
+            cc.louvain(g, cc.independence_criterion())
+        assert time.perf_counter() - start < 60
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert not multiprocessing.active_children()
 
 
 def test_louvain_modularity_not_below_networkx():
