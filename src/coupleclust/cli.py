@@ -253,12 +253,7 @@ def cmd_best_exhaustive(args) -> dict:
     g = _input_graph(args)
     criterion = criterion_by_name(args.criterion)
     partition, score = exhaustive_best_partition(g, criterion)
-    return {
-        "labels": [int(x) for x in partition.labels],
-        "k": partition.k,
-        "score": score,
-        "criterion": criterion.kind,
-    }
+    return {**partition.to_json_dict(), "score": score, "criterion": criterion.kind}
 
 
 def _count(text: str) -> int:

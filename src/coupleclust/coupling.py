@@ -29,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._record import Record
 from .errors import (
     ConditionHViolated,
     DimensionMismatch,
@@ -74,7 +75,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Margin:
+class Margin(Record):
     """A validated probability vector.
 
     Construct via :func:`validate_margin` (or :func:`sample_dirichlet`),
@@ -105,15 +106,9 @@ class Margin:
     def p(self) -> int:
         return self.probs.size
 
-    def to_json_dict(self) -> dict:
-        return {"probs": [float(x) for x in self.probs]}
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "Margin":
         return validate_margin(np.asarray(data["probs"], dtype=float))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "Margin":
@@ -164,7 +159,7 @@ def uniform_margin(p: int) -> Margin:
 
 
 @dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(Record):
     """A p x q joint probability matrix with cached margins.
 
     Attributes
@@ -231,11 +226,7 @@ class JointDistribution:
         return self.cells.shape[1]
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "cells": [[float(x) for x in row] for row in self.cells],
-        }
+        return {"p": self.p, "q": self.q, "cells": self.cells.tolist()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "JointDistribution":
@@ -245,9 +236,6 @@ class JointDistribution:
                 f"cells shape {cells.shape} does not match p={data['p']}, q={data['q']}"
             )
         return cls.from_cells(cells)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "JointDistribution":
@@ -339,6 +327,12 @@ def squared_distance(a: JointDistribution, b: JointDistribution) -> float:
     return float(((a.cells - b.cells) ** 2).sum())
 
 
+def _dimensions(p, q) -> tuple[int, int]:
+    if int(p) != p or int(q) != q or p < 1 or q < 1:
+        raise NonPositiveDimension(f"dimensions must be integers >= 1, got {p}, {q}")
+    return int(p), int(q)
+
+
 def delta_closed_form(p: int, q: int) -> float:
     """Expected squared distance between the two couplings of flat Dirichlet
     margins.
@@ -355,11 +349,9 @@ def delta_closed_form(p: int, q: int) -> float:
     Raises
     ------
     NonPositiveDimension
-        If ``p < 1`` or ``q < 1``.
+        If ``p`` or ``q`` is not an integer >= 1.
     """
-    if int(p) != p or int(q) != q or p < 1 or q < 1:
-        raise NonPositiveDimension(f"dimensions must be integers >= 1, got {p}, {q}")
-    p, q = int(p), int(q)
+    p, q = _dimensions(p, q)
     return (1.0 / (p * q)) * ((p - 1) / (p + 1)) * ((q - 1) / (q + 1))
 
 
@@ -377,7 +369,7 @@ def sample_dirichlet(p: int, rng: np.random.Generator | int | None = None) -> Ma
 
 
 @dataclass(frozen=True)
-class DeltaEstimate:
+class DeltaEstimate(Record):
     """Monte-Carlo estimate of the expected coupling distance.
 
     Attributes
@@ -396,13 +388,6 @@ class DeltaEstimate:
     def __post_init__(self):
         if self.mean < 0 or self.std_error < 0 or self.n_samples < 1:
             raise NegativeEntry("estimate fields must be nonnegative, n >= 1")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "n_samples": self.n_samples,
-        }
 
 
 # Margin entries drawn at once by _delta_stream.
@@ -467,9 +452,13 @@ def delta_monte_carlo(
     Returns
     -------
     DeltaEstimate
+
+    Raises
+    ------
+    NonPositiveDimension
+        If ``p`` or ``q`` is not an integer >= 1, or ``n_samples < 1``.
     """
-    if p < 1 or q < 1:
-        raise NonPositiveDimension(f"dimensions must be >= 1, got {p}, {q}")
+    p, q = _dimensions(p, q)
     if n_samples < 1:
         raise NonPositiveDimension("n_samples must be >= 1")
     from ._mc import run_streams

@@ -25,7 +25,6 @@ criterion evaluation never materializes an n x n criterion matrix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,6 +32,7 @@ import numpy as np
 from scipy import sparse
 from scipy.stats import binom
 
+from ._record import Record
 from .errors import (
     DimensionMismatch,
     EdgeListParseError,
@@ -387,7 +387,7 @@ def bias_bin_edges(eps: float, bins: int, which: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BiasHistogram:
+class BiasHistogram(Record):
     """A binned bias distribution.
 
     ``counts`` are sample counts for empirical histograms and probability
@@ -430,12 +430,9 @@ class BiasHistogram:
     def to_json_dict(self) -> dict:
         return {
             "which": self.which,
-            "bin_edges": [float(x) for x in self.bin_edges],
-            "counts": [float(c) for c in self.counts],
+            "bin_edges": self.bin_edges.tolist(),
+            "counts": self.counts.tolist(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def _degree_rows(n: int, eps: float) -> tuple[np.ndarray, np.ndarray]:

@@ -50,7 +50,6 @@ always).
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import threading
@@ -61,7 +60,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyGraph, TooLarge
+from ._record import Record
+from .errors import DimensionMismatch, EmptyGraph, NonFiniteEntry, TooLarge
 from .graph import (
     WeightedGraph,
     indetermination_block,
@@ -85,7 +85,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Node partition in canonical labeling.
 
     ``labels[i]`` is the class of node ``i``; class ids are consecutive
@@ -125,12 +125,6 @@ class Partition:
 
     def members(self, class_id: int) -> np.ndarray:
         return np.nonzero(self.labels == class_id)[0]
-
-    def to_json_dict(self) -> dict:
-        return {"labels": [int(x) for x in self.labels], "k": self.k}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 @dataclass(frozen=True)
@@ -203,12 +197,12 @@ class LouvainConfig:
     restarts: int = 8
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        if not isinstance(self.restarts, (int, np.integer)) or self.restarts < 1:
+            raise ValueError(f"restarts must be an integer >= 1, got {self.restarts!r}")
 
 
 @dataclass(frozen=True)
-class LouvainResult:
+class LouvainResult(Record):
     partition: Partition
     score: float
     trace: tuple[float, ...]
@@ -216,8 +210,7 @@ class LouvainResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "labels": [int(x) for x in self.partition.labels],
-            "k": self.partition.k,
+            **self.partition.to_json_dict(),
             "score": self.score,
             "criterion": self.criterion,
             "trace": list(self.trace),
@@ -228,12 +221,21 @@ def _check_graph(g: WeightedGraph, criterion: LocalCriterion) -> float:
     """Reject a graph the criterion cannot score; return ``tol``, the
     search's rounding tolerance on it. Gains and scores scale with the
     weights as ``tol`` does, so the search does not depend on their unit;
-    an edgeless graph under indetermination gets 0, and every gain is 0."""
+    an edgeless graph under indetermination gets 0, and every gain is 0.
+
+    Every block the search evaluates has ``w_sum`` and degree masses at most
+    2M and sizes at most n, so if the block with all of them at their bound
+    is finite (in Python floats, which warn of nothing), no intermediate
+    product overflows; otherwise the graph is rejected."""
     if g.n == 0:
         raise EmptyGraph("graph has no nodes")
     two_m = g.total_weight_2m
     if criterion.needs_total_weight and two_m <= 0.0:
         raise EmptyGraph("graph has zero total weight")
+    if not math.isfinite(criterion.block_evaluator(two_m, two_m, two_m, g.n, g.n, g.n, two_m)):
+        raise NonFiniteEntry(
+            f"the {criterion.kind} criterion overflows on this graph: the weights are too large"
+        )
     return 1e-12 * abs(criterion.block_evaluator(two_m, 0.0, 0.0, 0.0, 0.0, g.n, two_m))
 
 

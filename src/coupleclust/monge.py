@@ -22,11 +22,11 @@ rounding alone leaves passes even at ``tol = 0``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .coupling import (
     JointDistribution,
     couple_independence,
@@ -116,7 +116,7 @@ def is_full_log_monge(c, tol: float = DEFAULT_TOL) -> bool:
 
 
 @dataclass(frozen=True)
-class MongeReport:
+class MongeReport(Record):
     """All four class predicates for one matrix, plus the worst residual.
 
     ``is_full_log_monge`` is False (not an error) when the matrix has a
@@ -131,18 +131,6 @@ class MongeReport:
     is_full_monge: bool
     is_full_log_monge: bool
     max_adjacent_residual: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "is_monge": self.is_monge,
-            "is_anti_monge": self.is_anti_monge,
-            "is_full_monge": self.is_full_monge,
-            "is_full_log_monge": self.is_full_log_monge,
-            "max_adjacent_residual": self.max_adjacent_residual,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def monge_report(c, tol: float = DEFAULT_TOL) -> MongeReport:
@@ -190,7 +178,7 @@ def _exhaustive_residuals(c: np.ndarray, product: bool) -> float:
 
 
 @dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(Record):
     """Cross-checked characterizations of one joint distribution.
 
     The additive group holds iff the joint is full-Monge iff it equals the
@@ -209,18 +197,6 @@ class TheoremReport:
     residual_adjacent_log_sum: float | None
     residual_independence_formula: float | None
     residual_exhaustive_product: float | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "additive_holds": self.additive_holds,
-            "residual_adjacent_sum": self.residual_adjacent_sum,
-            "residual_additive_formula": self.residual_additive_formula,
-            "residual_exhaustive_sum": self.residual_exhaustive_sum,
-            "multiplicative_holds": self.multiplicative_holds,
-            "residual_adjacent_log_sum": self.residual_adjacent_log_sum,
-            "residual_independence_formula": self.residual_independence_formula,
-            "residual_exhaustive_product": self.residual_exhaustive_product,
-        }
 
 
 def verify_monge_theorems(pi: JointDistribution, tol: float = DEFAULT_TOL) -> TheoremReport:

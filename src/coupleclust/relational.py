@@ -16,11 +16,11 @@ weighted balance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .coupling import JointDistribution, indetermination_cells
 from .errors import (
     DegenerateDimensions,
@@ -44,7 +44,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RelationalMatrix:
+class RelationalMatrix(Record):
     """An n x n 0/1 equivalence-relation matrix, stored read-only as uint8.
 
     A 0/1 matrix is an equivalence relation exactly when it equals the
@@ -73,9 +73,6 @@ class RelationalMatrix:
     def to_json_dict(self) -> dict:
         return {"n": self.n, "rel": self.rel.tolist()}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 def relational_encode(labels) -> RelationalMatrix:
     """Encode class labels as an equivalence-relation matrix.
@@ -103,7 +100,7 @@ def decode_partition(x: RelationalMatrix) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class AgreementCounts:
+class AgreementCounts(Record):
     """The four pair-agreement totals between two relations.
 
     For 0/1 matrices X and Y with complements taken entrywise
@@ -131,17 +128,6 @@ class AgreementCounts:
     @property
     def total(self) -> float:
         return self.agree_11 + self.agree_00 + self.disagree_10 + self.disagree_01
-
-    def to_json_dict(self) -> dict:
-        return {
-            "agree_11": self.agree_11,
-            "agree_00": self.agree_00,
-            "disagree_10": self.disagree_10,
-            "disagree_01": self.disagree_01,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def agreement_counts(x: RelationalMatrix, y: RelationalMatrix) -> AgreementCounts:

@@ -16,12 +16,13 @@ nonnegative orthant with per-set increments.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import JointDistribution, Margin
+from ._record import Record
+from .coupling import MARGIN_SUM_TOL, JointDistribution, Margin
 from .errors import NotConverged
 
 __all__ = [
@@ -45,14 +46,14 @@ class SolverConfig:
     max_iterations: int = 100_000
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
-class SolverReport:
+class SolverReport(Record):
     """Outcome of a solver run.
 
     Attributes
@@ -71,17 +72,6 @@ class SolverReport:
     final_violation: float
     converged: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "solution": self.solution.to_json_dict(),
-            "iterations": self.iterations,
-            "final_violation": self.final_violation,
-            "converged": self.converged,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 def _violation(x: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:
     margin = max(
@@ -92,19 +82,28 @@ def _violation(x: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:
     return margin + negative
 
 
-def _finish(x: np.ndarray, iterations: int, violation: float) -> SolverReport:
+def _outcome(
+    name: str, x: np.ndarray, iterations: int, violation: float, converged: bool
+) -> SolverReport:
+    """The report of a finished run; raises :class:`NotConverged` carrying
+    it when the run stopped at the iteration cap."""
     # Rounding dust from the last projection is clipped, and the joint's
     # margins are derived from the computed cells: at boundary targets the
     # iterate matches the requested margins only within the tolerance, and
-    # final_violation is what records that gap.
+    # final_violation is what records that gap. from_cells accepts a total
+    # within MARGIN_SUM_TOL of 1; an iterate further off (a capped one, or
+    # one stopped at a looser tolerance) is rescaled to total 1 first.
     cells = np.where(x < 0, 0.0, x)
-    joint = JointDistribution.from_cells(cells)
-    return SolverReport(
-        solution=joint,
-        iterations=iterations,
-        final_violation=violation,
-        converged=True,
-    )
+    total = float(cells.sum())
+    if abs(total - 1.0) > MARGIN_SUM_TOL:
+        cells = cells / total
+    report = SolverReport(JointDistribution.from_cells(cells), iterations, violation, converged)
+    if not converged:
+        raise NotConverged(
+            f"{name} stopped after {iterations} iterations with violation {violation!r}",
+            report=report,
+        )
+    return report
 
 
 def solve_entropy_projection(
@@ -128,7 +127,6 @@ def solve_entropy_projection(
     target_rows = mu.probs
     target_cols = nu.probs
     x = np.full((p, q), 1.0 / (p * q))
-    violation = np.inf
     for it in range(1, cfg.max_iterations + 1):
         rows = x.sum(axis=1)
         scale = np.divide(target_rows, rows, out=np.ones(p), where=rows > 0)
@@ -138,18 +136,8 @@ def solve_entropy_projection(
         x = x * scale[None, :]
         violation = _violation(x, target_rows, target_cols)
         if violation <= cfg.tolerance:
-            return _finish(x, it, violation)
-    report = SolverReport(
-        solution=JointDistribution.from_cells(np.where(x < 0, 0.0, x) / x.sum()),
-        iterations=cfg.max_iterations,
-        final_violation=violation,
-        converged=False,
-    )
-    raise NotConverged(
-        f"IPF stopped after {cfg.max_iterations} iterations "
-        f"with violation {violation!r}",
-        report=report,
-    )
+            break
+    return _outcome("IPF", x, it, violation, violation <= cfg.tolerance)
 
 
 def _project_rows(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -164,11 +152,10 @@ def _project_cols(x: np.ndarray, nu: np.ndarray) -> np.ndarray:
 
 def _dykstra(
     mu: Margin, nu: Margin, cfg: SolverConfig
-) -> tuple[np.ndarray, list[np.ndarray], int, float, bool]:
-    """Core Dykstra loop; returns (x, increments, iterations, violation, ok).
-
-    ``increments`` are the three per-set correction matrices at exit, in
-    projection order (rows, columns, orthant).
+) -> tuple[SolverReport, list[np.ndarray]]:
+    """Core Dykstra loop; returns the report and the three per-set
+    correction matrices at exit, in projection order (rows, columns,
+    orthant). Raises :class:`NotConverged` at the iteration cap.
     """
     p, q = mu.p, nu.p
     target_rows = mu.probs
@@ -180,7 +167,6 @@ def _dykstra(
         lambda y: _project_cols(y, target_cols),
         lambda y: np.maximum(y, 0.0),
     )
-    violation = np.inf
     for it in range(1, cfg.max_iterations + 1):
         for k, project in enumerate(projections):
             shifted = x + increments[k]
@@ -188,8 +174,8 @@ def _dykstra(
             increments[k] = shifted - x
         violation = _violation(x, target_rows, target_cols)
         if violation <= cfg.tolerance:
-            return x, increments, it, violation, True
-    return x, increments, cfg.max_iterations, violation, False
+            break
+    return _outcome("Dykstra", x, it, violation, violation <= cfg.tolerance), increments
 
 
 def solve_least_squares_projection(
@@ -211,21 +197,7 @@ def solve_least_squares_projection(
     NotConverged
         If the iteration cap is reached above tolerance.
     """
-    cfg = cfg or SolverConfig()
-    x, _, iterations, violation, ok = _dykstra(mu, nu, cfg)
-    if ok:
-        return _finish(x, iterations, violation)
-    report = SolverReport(
-        solution=JointDistribution.from_cells(np.where(x < 0, 0.0, x) / x.sum()),
-        iterations=iterations,
-        final_violation=violation,
-        converged=False,
-    )
-    raise NotConverged(
-        f"Dykstra stopped after {cfg.max_iterations} iterations "
-        f"with violation {violation!r}",
-        report=report,
-    )
+    return _dykstra(mu, nu, cfg or SolverConfig())[0]
 
 
 def recover_lagrange_multipliers(
@@ -259,14 +231,14 @@ def recover_lagrange_multipliers(
 
         omega[v]            = 2 * (gamma[v] - mean(gamma))
         (lambda + theta)[u] = 2 * (1/(p*q) + rho[u] + mean(gamma))
+
+    Raises
+    ------
+    NotConverged
+        If the Dykstra run reaches the iteration cap above tolerance (its
+        report rides on the exception).
     """
-    cfg = cfg or SolverConfig()
-    x, increments, iterations, violation, ok = _dykstra(mu, nu, cfg)
-    if not ok:
-        raise NotConverged(
-            f"Dykstra stopped after {cfg.max_iterations} iterations "
-            f"with violation {violation!r}"
-        )
+    _, increments = _dykstra(mu, nu, cfg or SolverConfig())
     p, q = mu.p, nu.p
     rho = -increments[0].mean(axis=1)
     gamma = -increments[1].mean(axis=0)

@@ -474,6 +474,22 @@ def test_cluster_rejects_weights_whose_sums_overflow(capsys, tmp_path, criterion
     assert_single_json_error(err, "NonFiniteEntry")
 
 
+@pytest.mark.parametrize("command", ["cluster", "best-exhaustive"])
+@pytest.mark.parametrize("criterion", ["independence", "indetermination"])
+@pytest.mark.parametrize("weight", ["1e200", "1e307"])
+def test_criterion_overflow_reports_error(capsys, tmp_path, command, criterion, weight):
+    path = tmp_path / "big.tsv"
+    path.write_text("".join(f"{i}\t{i + 1}\t{weight}\n" for i in range(3)))
+    code, out, err = run_cli(capsys, [command, str(path), "--criterion", criterion])
+    if weight == "1e200" and criterion == "indetermination":
+        assert code == 0
+        assert json.loads(out)["labels"] == [0, 0, 1, 1]
+        return
+    assert code == 1
+    assert out == ""
+    assert_single_json_error(err, "NonFiniteEntry")
+
+
 def test_malformed_edge_list_reports_parse_error(capsys, tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("0\t1\n")

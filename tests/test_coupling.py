@@ -195,6 +195,14 @@ def test_delta_closed_form_values():
         cc.delta_closed_form(0, 3)
 
 
+@pytest.mark.parametrize("p, q", [(3.5, 4), (3, 4.5), (0, 4), (3, -1)])
+def test_delta_rejects_non_integer_dimensions(p, q):
+    with pytest.raises(cc.NonPositiveDimension):
+        cc.delta_closed_form(p, q)
+    with pytest.raises(cc.NonPositiveDimension):
+        cc.delta_monte_carlo(p, q, 10, rng=0)
+
+
 def test_delta_closed_form_paper_bound():
     for p in range(1, 13):
         for q in range(1, 13):

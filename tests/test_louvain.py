@@ -283,8 +283,37 @@ def test_criterion_by_name_and_config_validation():
     assert cc.criterion_by_name("indetermination").kind == "indetermination"
     with pytest.raises(ValueError):
         cc.criterion_by_name("modularity")
-    with pytest.raises(ValueError):
-        cc.LouvainConfig(restarts=0)
+    for restarts in (0, 2.5, 2.0, "3", None):
+        with pytest.raises(ValueError, match="restarts"):
+            cc.LouvainConfig(restarts=restarts)
+    assert cc.LouvainConfig(restarts=np.int64(3)).restarts == 3
+
+
+PATH3 = [(0, 1), (1, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("criterion", ["independence", "indetermination"])
+def test_criterion_that_overflows_is_rejected(criterion):
+    # under independence (2M)**2 overflows at 1e200, under indetermination
+    # n * 2M does at 1e307; every weight, degree and 2M is finite
+    crit = cc.criterion_by_name(criterion)
+    huge = cc.WeightedGraph.from_edges(4, [(i, j, 1e307) for i, j in PATH3])
+    single = cc.Partition.from_labels([0, 0, 0, 0])
+    for search in (cc.louvain, cc.exhaustive_best_partition):
+        with pytest.raises(cc.NonFiniteEntry, match="overflow"):
+            search(huge, crit)
+    with pytest.raises(cc.NonFiniteEntry, match="overflow"):
+        cc.global_score(huge, crit, single)
+    big = cc.WeightedGraph.from_edges(4, [(i, j, 1e200) for i, j in PATH3])
+    if criterion == "independence":
+        with pytest.raises(cc.NonFiniteEntry, match="overflow"):
+            cc.louvain(big, crit)
+        with pytest.raises(cc.NonFiniteEntry, match="overflow"):
+            cc.global_score(big, crit, single)
+    else:
+        result = cc.louvain(big, crit)
+        assert np.isfinite(result.score)
+        assert result.score == cc.exhaustive_best_partition(big, crit)[1]
 
 
 def test_louvain_result_json():

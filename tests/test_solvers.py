@@ -121,9 +121,44 @@ def test_multipliers_reproduce_solution_stationarity():
     npt.assert_allclose(2.0 * x, lam_theta[:, None] + omega[None, :], atol=1e-6)
 
 
+@pytest.mark.parametrize(
+    "solve, margins, cfg",
+    [
+        (cc.solve_entropy_projection, ([0.7, 0.3], [0.6, 0.4]), cc.SolverConfig(1e-300, 3)),
+        (cc.solve_least_squares_projection, ([0.9, 0.1], [0.9, 0.1]), cc.SolverConfig(1e-10, 2)),
+        (cc.recover_lagrange_multipliers, ([0.9, 0.1], [0.9, 0.1]), cc.SolverConfig(1e-10, 2)),
+    ],
+)
+def test_every_solver_raises_with_a_capped_report(solve, margins, cfg):
+    mu, nu = (cc.validate_margin(m) for m in margins)
+    with pytest.raises(cc.NotConverged) as err:
+        solve(mu, nu, cfg)
+    report = err.value.report
+    assert isinstance(report, cc.SolverReport)
+    assert report.converged is False
+    assert report.iterations == cfg.max_iterations
+    assert abs(report.solution.cells.sum() - 1.0) <= 1e-12
+
+
+def test_loose_tolerance_on_the_boundary_still_reports():
+    # stopped at 1e-6, the iterate's total is off 1 by more than a joint
+    # accepts, and the report carries it rescaled
+    mu = cc.validate_margin([0.9, 0.1])
+    cfg = cc.SolverConfig(tolerance=1e-6)
+    report = cc.solve_least_squares_projection(mu, mu, cfg)
+    assert report.converged
+    assert 1e-9 < report.final_violation <= 1e-6
+    npt.assert_allclose(report.solution.cells, [[0.8, 0.1], [0.1, 0.0]], atol=1e-5)
+    lam_theta, omega = cc.recover_lagrange_multipliers(mu, mu, cfg)
+    assert np.isfinite(lam_theta).all() and np.isfinite(omega).all()
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         cc.SolverConfig(tolerance=0.0)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="tolerance"):
+            cc.SolverConfig(tolerance=bad)
     with pytest.raises(ValueError):
         cc.SolverConfig(max_iterations=0)
 
