@@ -20,6 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import _as_count
+
 __all__ = ["thread_cap", "split_counts", "run_streams"]
 
 
@@ -35,9 +37,7 @@ def thread_cap() -> int:
 
 def split_counts(total: int, n_streams: int) -> list[int]:
     """Split ``total`` draws as evenly as possible over ``n_streams``."""
-    if n_streams < 1:
-        raise ValueError("n_streams must be >= 1")
-    n_streams = min(n_streams, total) or 1
+    n_streams = min(_as_count(n_streams, "n_streams"), total) or 1
     base, extra = divmod(total, n_streams)
     return [base + (1 if k < extra else 0) for k in range(n_streams)]
 

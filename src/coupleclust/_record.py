@@ -19,6 +19,15 @@ class Record:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
 
+    def _own(self, name: str, dtype=float) -> np.ndarray:
+        """Replace the array field ``name`` with a read-only C-ordered copy,
+        so the caller's array stays writable and cannot change the record;
+        returns the copy."""
+        arr = np.array(getattr(self, name), dtype=dtype, order="C")
+        arr.flags.writeable = False
+        object.__setattr__(self, name, arr)
+        return arr
+
 
 def _plain(value):
     if isinstance(value, np.ndarray):

@@ -35,8 +35,8 @@ from .errors import (
     DimensionMismatch,
     NegativeEntry,
     NonFiniteEntry,
-    NonPositiveDimension,
     SumNotOne,
+    _as_count,
 )
 
 __all__ = [
@@ -68,10 +68,18 @@ MARGIN_EQ_TOL = 1e-12
 CONDITION_H_SLACK = 1e-12
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
+def _probabilities(values, ndim: int, what: str, slack: float = 0.0) -> np.ndarray:
+    """``values`` as a float array, checked in this order: nonempty with
+    ``ndim`` dimensions, every entry finite, none below ``-slack``."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != ndim or arr.size == 0:
+        raise DimensionMismatch(f"{what} must form a nonempty {ndim}-d array")
+    if not np.isfinite(arr).all():
+        raise NonFiniteEntry(f"{what} must be finite")
+    low = float(arr.min())
+    if low < -slack:
+        raise NegativeEntry(f"{what} must be nonnegative, got minimum {low!r}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -91,16 +99,9 @@ class Margin(Record):
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = _readonly(np.atleast_1d(self.probs))
-        if probs.ndim != 1 or probs.size == 0:
-            raise DimensionMismatch("a margin must be a nonempty 1-d vector")
-        if not np.isfinite(probs).all():
-            raise NonFiniteEntry("margin entries must be finite")
-        if np.any(probs < 0):
-            raise NegativeEntry("margin entries must be nonnegative")
+        probs = _probabilities(self._own("probs"), 1, "margin entries")
         if abs(float(probs.sum()) - 1.0) > MARGIN_EQ_TOL:
             raise SumNotOne(f"margin sums to {float(probs.sum())!r}, expected 1")
-        object.__setattr__(self, "probs", probs)
 
     @property
     def p(self) -> int:
@@ -138,13 +139,7 @@ def validate_margin(probs: Sequence[float] | np.ndarray) -> Margin:
     SumNotOne
         If the sum is off by more than 1e-9.
     """
-    arr = np.asarray(probs, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DimensionMismatch("a margin must be a nonempty 1-d vector")
-    if not np.isfinite(arr).all():
-        raise NonFiniteEntry("margin entries must be finite")
-    if np.any(arr < 0):
-        raise NegativeEntry("margin entries must be nonnegative")
+    arr = _probabilities(probs, 1, "margin entries")
     total = float(arr.sum())
     if abs(total - 1.0) > MARGIN_SUM_TOL:
         raise SumNotOne(f"margin sums to {total!r}, expected 1 within {MARGIN_SUM_TOL}")
@@ -153,8 +148,7 @@ def validate_margin(probs: Sequence[float] | np.ndarray) -> Margin:
 
 def uniform_margin(p: int) -> Margin:
     """The uniform margin of length ``p``."""
-    if p < 1:
-        raise NonPositiveDimension("p must be >= 1")
+    p = _as_count(p, "p")
     return Margin(np.full(p, 1.0 / p))
 
 
@@ -177,14 +171,7 @@ class JointDistribution(Record):
     col_margin: Margin
 
     def __post_init__(self):
-        cells = _readonly(self.cells)
-        if cells.ndim != 2 or cells.size == 0:
-            raise DimensionMismatch("cells must be a nonempty 2-d matrix")
-        if not np.isfinite(cells).all():
-            raise NonFiniteEntry("joint cells must be finite")
-        if np.any(cells < 0):
-            raise NegativeEntry("joint cells must be nonnegative")
-        object.__setattr__(self, "cells", cells)
+        cells = _probabilities(self._own("cells"), 2, "joint cells")
         rows = cells.sum(axis=1)
         cols = cells.sum(axis=0)
         if (
@@ -201,16 +188,8 @@ class JointDistribution(Record):
         exact 0; genuinely negative cells raise :class:`NegativeEntry`, NaN
         or infinite ones :class:`NonFiniteEntry`.
         """
-        arr = np.asarray(cells, dtype=float)
-        if arr.ndim != 2 or arr.size == 0:
-            raise DimensionMismatch("cells must be a nonempty 2-d matrix")
-        if not np.isfinite(arr).all():
-            raise NonFiniteEntry("joint cells must be finite")
-        low = float(arr.min())
-        if low < -CONDITION_H_SLACK:
-            raise NegativeEntry(f"cell minimum {low!r} is negative")
-        if low < 0:
-            arr = np.where(arr < 0, 0.0, arr)
+        arr = _probabilities(cells, 2, "joint cells", slack=CONDITION_H_SLACK)
+        arr = np.where(arr < 0, 0.0, arr)
         total = float(arr.sum())
         if abs(total - 1.0) > MARGIN_SUM_TOL:
             raise SumNotOne(f"cells sum to {total!r}, expected 1")
@@ -327,12 +306,6 @@ def squared_distance(a: JointDistribution, b: JointDistribution) -> float:
     return float(((a.cells - b.cells) ** 2).sum())
 
 
-def _dimensions(p, q) -> tuple[int, int]:
-    if int(p) != p or int(q) != q or p < 1 or q < 1:
-        raise NonPositiveDimension(f"dimensions must be integers >= 1, got {p}, {q}")
-    return int(p), int(q)
-
-
 def delta_closed_form(p: int, q: int) -> float:
     """Expected squared distance between the two couplings of flat Dirichlet
     margins.
@@ -351,7 +324,7 @@ def delta_closed_form(p: int, q: int) -> float:
     NonPositiveDimension
         If ``p`` or ``q`` is not an integer >= 1.
     """
-    p, q = _dimensions(p, q)
+    p, q = _as_count(p, "p"), _as_count(q, "q")
     return (1.0 / (p * q)) * ((p - 1) / (p + 1)) * ((q - 1) / (q + 1))
 
 
@@ -361,8 +334,7 @@ def sample_dirichlet(p: int, rng: np.random.Generator | int | None = None) -> Ma
     Uses normalized independent unit-rate exponential draws, which is exact
     for the flat Dirichlet and trivially seedable.
     """
-    if p < 1:
-        raise NonPositiveDimension("p must be >= 1")
+    p = _as_count(p, "p")
     rng = np.random.default_rng(rng)
     e = rng.exponential(size=p)
     return Margin(e / e.sum())
@@ -386,8 +358,9 @@ class DeltaEstimate(Record):
     n_samples: int
 
     def __post_init__(self):
-        if self.mean < 0 or self.std_error < 0 or self.n_samples < 1:
-            raise NegativeEntry("estimate fields must be nonnegative, n >= 1")
+        _as_count(self.n_samples, "n_samples")
+        if self.mean < 0 or self.std_error < 0:
+            raise NegativeEntry("estimate fields must be nonnegative")
 
 
 # Margin entries drawn at once by _delta_stream.
@@ -456,11 +429,10 @@ def delta_monte_carlo(
     Raises
     ------
     NonPositiveDimension
-        If ``p`` or ``q`` is not an integer >= 1, or ``n_samples < 1``.
+        If ``p``, ``q`` or ``n_samples`` is not an integer >= 1.
     """
-    p, q = _dimensions(p, q)
-    if n_samples < 1:
-        raise NonPositiveDimension("n_samples must be >= 1")
+    p, q = _as_count(p, "p"), _as_count(q, "q")
+    n_samples = _as_count(n_samples, "n_samples")
     from ._mc import run_streams
 
     chunks = run_streams(

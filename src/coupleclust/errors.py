@@ -9,6 +9,12 @@ handlers.
 
 from __future__ import annotations
 
+import math
+import operator
+from numbers import Real
+
+import numpy as np
+
 __all__ = [
     "CoupleclustError",
     "NegativeEntry",
@@ -59,7 +65,8 @@ class DimensionMismatch(CoupleclustError, ValueError):
 
 
 class NonPositiveDimension(CoupleclustError, ValueError):
-    """A dimension parameter must be a positive integer."""
+    """A count parameter (a dimension, sample count, seed, ...) is not an
+    integer, or is below its minimum."""
 
 
 class NotConverged(CoupleclustError, RuntimeError):
@@ -111,3 +118,36 @@ class TooLarge(CoupleclustError, ValueError):
 class EdgeListParseError(CoupleclustError, ValueError):
     """An edge-list file line failed to parse; the message carries the
     1-based line number."""
+
+
+def _as_count(value, name: str, minimum: int = 1) -> int:
+    """``value`` as a Python int, if it is an integer of at least
+    ``minimum``: a Python or numpy integer, as :func:`operator.index`
+    accepts, not a float such as 3.0. Otherwise
+    :class:`NonPositiveDimension` naming the parameter."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < minimum:
+        raise NonPositiveDimension(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return count
+
+
+def _as_tolerance(value, name: str = "tol", allow_zero: bool = True) -> float:
+    """``value`` as a float, if it is a finite real number at least 0
+    (above 0 unless ``allow_zero``); otherwise :class:`ValueError`."""
+    real = isinstance(value, Real) and math.isfinite(value)
+    if not real or value < 0 or (value == 0 and not allow_zero):
+        bound = ">=" if allow_zero else ">"
+        raise ValueError(f"{name} must be a finite real number {bound} 0, got {value!r}")
+    return float(value)
+
+
+def _as_integers(values, what: str) -> np.ndarray:
+    """``values`` as an array, if its dtype is an integer type (an empty
+    array passes whatever its dtype); otherwise :class:`ValueError`."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
+    return arr

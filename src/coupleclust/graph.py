@@ -25,6 +25,7 @@ criterion evaluation never materializes an n x n criterion matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,8 +39,9 @@ from .errors import (
     EdgeListParseError,
     EmptyGraph,
     NonFiniteEntry,
-    NonPositiveDimension,
     ZeroEps,
+    _as_count,
+    _as_integers,
 )
 
 __all__ = [
@@ -135,12 +137,10 @@ class WeightedGraph:
         """Build from index and weight arrays, each undirected edge once;
         off-diagonal entries are mirrored here. Node indices must be
         integers."""
-        if n < 0:
-            raise NonPositiveDimension("n must be >= 0")
-        idx = [np.asarray(a) for a in (rows, cols)]
-        if any(a.size and a.dtype.kind not in "iu" for a in idx):
-            raise ValueError("node indices must be integers")
-        rows, cols = (a.astype(np.int64, copy=False) for a in idx)
+        n = _as_count(n, "n", minimum=0)
+        rows, cols = (
+            _as_integers(a, "node indices").astype(np.int64, copy=False) for a in (rows, cols)
+        )
         vals = np.asarray(vals, dtype=float)
         off = rows != cols
         i, j = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
@@ -209,6 +209,8 @@ def load_edge_list(path) -> WeightedGraph:
             raise EdgeListParseError(f"line {lineno}: {exc}") from exc
         if i < 0 or j < 0:
             raise EdgeListParseError(f"line {lineno}: negative node index")
+        if not math.isfinite(w):
+            raise EdgeListParseError(f"line {lineno}: non-finite weight {w!r}")
         if w < 0:
             raise EdgeListParseError(f"line {lineno}: negative weight {w!r}")
         key = (min(i, j), max(i, j))
@@ -227,11 +229,6 @@ def _check_eps(eps: float, allow_zero: bool = True) -> None:
         raise ZeroEps("eps = 0 leaves the multiplicative bias unbounded")
 
 
-def _check_node_pair(n: int) -> None:
-    if n < 2:
-        raise NonPositiveDimension("need n >= 2 to draw a node pair")
-
-
 def gilbert(
     n: int, eps: float, rng: np.random.Generator | int | None = None
 ) -> WeightedGraph:
@@ -241,8 +238,7 @@ def gilbert(
     One uniform is drawn per pair in upper-triangle row-major order, which
     fixes the seed-to-graph mapping; memory is O(n + m) for m edges.
     """
-    if n < 1:
-        raise NonPositiveDimension("n must be >= 1")
+    n = _as_count(n, "n")
     _check_eps(eps)
     rng = np.random.default_rng(rng)
     return _upper_triangle_graph(n, lambda k: rng.random(k) < eps)
@@ -262,10 +258,7 @@ def gilbert_weighted(
     Pairs are drawn in the same order as in :func:`gilbert`, so a seed
     always gives the same graph; memory is O(n + m) for m edges.
     """
-    if n < 1:
-        raise NonPositiveDimension("n must be >= 1")
-    if max_weight < 1:
-        raise NonPositiveDimension("max_weight must be >= 1")
+    n, max_weight = _as_count(n, "n"), _as_count(max_weight, "max_weight")
     _check_eps(eps)
     rng = np.random.default_rng(rng)
     return _upper_triangle_graph(n, lambda k: rng.binomial(max_weight, eps, size=k))
@@ -357,8 +350,7 @@ def bias_bounds(eps: float, n: int) -> tuple[tuple[float, float], tuple[float, f
     ZeroEps
         If ``eps == 0``.
     """
-    if n < 1:
-        raise NonPositiveDimension("n must be >= 1")
+    _as_count(n, "n")
     _check_eps(eps, allow_zero=False)
     return ((-eps, 2.0 - eps), (0.0, 1.0 / eps))
 
@@ -370,8 +362,7 @@ def bias_bin_edges(eps: float, bins: int, which: str) -> np.ndarray:
     ``b_+ - b_x``) or ``"common"`` (union of the plus and times ranges, the
     grid both empirical histograms share so their shapes can be compared).
     """
-    if bins < 1:
-        raise NonPositiveDimension("bins must be >= 1")
+    bins = _as_count(bins, "bins")
     (plo, phi), (tlo, thi) = bias_bounds(eps, 2)
     spans = {
         "plus": (plo, phi),
@@ -400,14 +391,9 @@ class BiasHistogram(Record):
     which: str
 
     def __post_init__(self):
-        edges = np.ascontiguousarray(self.bin_edges, dtype=float)
-        counts = np.ascontiguousarray(self.counts, dtype=float)
+        edges, counts = self._own("bin_edges"), self._own("counts")
         if edges.ndim != 1 or counts.ndim != 1 or edges.size != counts.size + 1:
             raise DimensionMismatch("need len(bin_edges) == len(counts) + 1")
-        edges.flags.writeable = False
-        counts.flags.writeable = False
-        object.__setattr__(self, "bin_edges", edges)
-        object.__setattr__(self, "counts", counts)
 
     @property
     def total(self) -> float:
@@ -438,10 +424,9 @@ class BiasHistogram(Record):
 def _degree_rows(n: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Degree law of one endpoint under the idealized degree model, given
     the pair value ``b = 0`` and ``b = 1``: ``P(d | b) = C(n-1, d-b)
-    eps**(d-b) (1-eps)**(n-1-d+b)`` over ``d = 0..n``. The one place the
-    model's ``n`` and ``eps`` are validated."""
-    if n < 1:
-        raise NonPositiveDimension("n must be >= 1")
+    eps**(d-b) (1-eps)**(n-1-d+b)`` over ``d = 0..n``, after validating
+    the model's ``n`` and ``eps``."""
+    n = _as_count(n, "n")
     _check_eps(eps, allow_zero=False)
     k = np.arange(n + 1)
     return binom.pmf(k, n - 1, eps), binom.pmf(k - 1, n - 1, eps)
@@ -528,17 +513,15 @@ def _affine_law(
 
 def _law_inputs(n: int, eps: float, bins: int, which: str):
     """Validated inputs of the exact laws: the degree rows, the degree grid
-    ``0..n`` and the bin edges."""
-    _check_node_pair(n)
+    ``0..n`` and the bin edges; a law needs a node pair, so n >= 2."""
+    n = _as_count(n, "n", minimum=2)
     rows = _degree_rows(n, eps)
     return rows, np.arange(n + 1, dtype=float), bias_bin_edges(eps, bins, which)
 
 
-def _mass_histogram(
-    values: np.ndarray, weights: np.ndarray, edges: np.ndarray, which: str
-) -> BiasHistogram:
-    clipped = np.clip(values.ravel(), edges[0], edges[-1])
-    counts, _ = np.histogram(clipped, bins=edges, weights=weights.ravel())
+def _mass_histogram(values: np.ndarray, edges: np.ndarray, which: str) -> BiasHistogram:
+    clipped = np.clip(values, edges[0], edges[-1])
+    counts, _ = np.histogram(clipped, bins=edges)
     return BiasHistogram(bin_edges=edges, counts=counts, which=which)
 
 
@@ -651,9 +634,7 @@ def empirical_bias_samples(
         ``b_diff`` is the paired ``b_plus - b_times`` over those same
         retained samples.
     """
-    _check_node_pair(n)
-    if samples < 1:
-        raise NonPositiveDimension("samples must be >= 1")
+    n, samples = _as_count(n, "n", minimum=2), _as_count(samples, "samples")
     _check_eps(eps)
     from ._mc import run_streams
 
@@ -687,14 +668,14 @@ def empirical_bias_histogram(
     if eps == 0.0:
         # Degenerate but well-defined: b_+ is identically 0; use the
         # narrowest nonempty grid around it.
-        edges = np.linspace(-1.0, 1.0, bins + 1)
+        edges = np.linspace(-1.0, 1.0, _as_count(bins, "bins") + 1)
     else:
         edges = bias_bin_edges(eps, bins, "common")
     times, plus, _ = empirical_bias_samples(
         n, eps, samples, rng, use_realized_2m, n_streams
     )
-    times_hist = _mass_histogram(times, np.ones(times.size), edges, "independence")
-    plus_hist = _mass_histogram(plus, np.ones(plus.size), edges, "indetermination")
+    times_hist = _mass_histogram(times, edges, "independence")
+    plus_hist = _mass_histogram(plus, edges, "indetermination")
     return times_hist, plus_hist
 
 
@@ -720,4 +701,4 @@ def empirical_bias_difference_histogram(
     _, _, diff = empirical_bias_samples(
         n, eps, samples, rng, use_realized_2m, n_streams
     )
-    return _mass_histogram(diff, np.ones(diff.size), edges, "difference")
+    return _mass_histogram(diff, edges, "difference")

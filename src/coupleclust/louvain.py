@@ -61,7 +61,9 @@ from typing import Callable
 import numpy as np
 
 from ._record import Record
-from .errors import DimensionMismatch, EmptyGraph, NonFiniteEntry, TooLarge
+from .errors import (
+    DimensionMismatch, EmptyGraph, NonFiniteEntry, TooLarge, _as_count, _as_integers
+)
 from .graph import (
     WeightedGraph,
     indetermination_block,
@@ -97,24 +99,21 @@ class Partition(Record):
     k: int = field(init=False)
 
     def __post_init__(self):
-        labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        _as_integers(self.labels, "class labels")
+        labels = self._own("labels", np.int64)
         if labels.ndim != 1 or labels.size == 0:
             raise DimensionMismatch("labels must be a nonempty 1-d array")
-        if labels.min() < 0:
-            raise ValueError("class ids must be nonnegative")
         k = int(labels.max()) + 1
         if not np.array_equal(_canonical(labels), labels):
             raise ValueError(
                 "labels are not canonical: use Partition.from_labels to relabel"
             )
-        labels.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "k", k)
 
     @classmethod
     def from_labels(cls, labels) -> "Partition":
-        """Canonicalize arbitrary hashable-int labels."""
-        arr = np.asarray(labels, dtype=np.int64)
+        """Canonicalize arbitrary integer labels."""
+        arr = _as_integers(labels, "class labels")
         if arr.ndim != 1 or arr.size == 0:
             raise DimensionMismatch("labels must be a nonempty 1-d array")
         return cls(labels=_canonical(arr))
@@ -197,8 +196,8 @@ class LouvainConfig:
     restarts: int = 8
 
     def __post_init__(self):
-        if not isinstance(self.restarts, (int, np.integer)) or self.restarts < 1:
-            raise ValueError(f"restarts must be an integer >= 1, got {self.restarts!r}")
+        _as_count(self.seed, "seed", minimum=0)
+        _as_count(self.restarts, "restarts")
 
 
 @dataclass(frozen=True)
@@ -780,10 +779,12 @@ def louvain(
     labels, trace = next(run for run in runs if run[1][-1] >= top - tol)
     score = trace[-1]
 
-    # The single-class partition scores exactly 0; greedy descent from
-    # singletons can stall below it, so fall back when it wins, polishing
-    # it to the same guarantees. The test is strict, not within tol: it
-    # enforces the exact floor of 0.
+    # The single-class partition scores exactly 0. It exceeds the winner's
+    # score by the sum of the k(k-1)/2 pairwise merge gains of the winner's
+    # k classes, each at most tol after the polish, so the winner can sit
+    # below 0 only by rounding, at most k(k-1)/2 * tol. The test is strict,
+    # not within tol: it enforces the exact floor of 0, and the fallback is
+    # polished to the same guarantees.
     all_in_one = np.zeros(g.n, dtype=np.int64)
     score_one = sg.score(criterion, all_in_one)
     if score_one > score:

@@ -32,7 +32,7 @@ from .coupling import (
     couple_independence,
     indetermination_cells,
 )
-from .errors import DimensionMismatch, InconsistentTheorem, NonPositiveEntry
+from .errors import DimensionMismatch, InconsistentTheorem, NonPositiveEntry, _as_tolerance
 
 __all__ = [
     "MongeReport",
@@ -69,13 +69,13 @@ def adjacent_sum_residuals(c) -> np.ndarray:
 def _max_residual(c) -> tuple[float, float]:
     """(max positive residual, max negative magnitude) over adjacent blocks."""
     r = adjacent_sum_residuals(c)
-    if r.size == 0:
-        return 0.0, 0.0
-    return max(0.0, float(r.max())), max(0.0, float(-r.min()))
+    return max(0.0, float(r.max(initial=0.0))), max(0.0, float(-r.min(initial=0.0)))
 
 
 def _cut(x, tol: float) -> float:
-    """``tol`` plus the rounding floor of the matrix ``x``."""
+    """``tol`` plus the rounding floor of the matrix ``x``. Every predicate
+    reads its tolerance through here, so this is where it is validated."""
+    tol = _as_tolerance(tol)
     return tol + 64 * float(np.finfo(float).eps) * max(1.0, float(np.abs(x).max()))
 
 
@@ -97,7 +97,7 @@ def is_full_monge(c, tol: float = DEFAULT_TOL) -> bool:
     """Whether every adjacent 2 x 2 diagonal sum matches its anti-diagonal
     sum within ``tol`` (equivalently, both Monge and anti-Monge)."""
     r = adjacent_sum_residuals(c)
-    return r.size == 0 or float(np.abs(r).max()) <= _cut(c, tol)
+    return float(np.abs(r).max(initial=0.0)) <= _cut(c, tol)
 
 
 def is_full_log_monge(c, tol: float = DEFAULT_TOL) -> bool:

@@ -26,8 +26,8 @@ from .errors import (
     DegenerateDimensions,
     DimensionMismatch,
     NegativeEntry,
-    NonPositiveDimension,
     NotEquivalenceRelation,
+    _as_count,
 )
 
 __all__ = [
@@ -57,13 +57,12 @@ class RelationalMatrix(Record):
         arr = np.asarray(self.rel)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
             raise NotEquivalenceRelation("matrix must be square and nonempty")
-        rel = arr.astype(bool).view(np.uint8)
+        rel = self._own("rel", bool).view(np.uint8)
         if not np.array_equal(rel, arr):
             raise NotEquivalenceRelation("entries must be 0 or 1")
         first = rel.argmax(axis=1)
         if not np.array_equal(rel, first[:, None] == first[None, :]):
             raise NotEquivalenceRelation("not symmetric, reflexive, transitive")
-        rel.flags.writeable = False
         object.__setattr__(self, "rel", rel)
 
     @property
@@ -165,7 +164,10 @@ def weighted_balance_residual(
     ------
     DegenerateDimensions
         If ``p < 2`` or ``q < 2`` (the weights divide by p-1 and q-1).
+    NonPositiveDimension
+        If ``p`` or ``q`` is not an integer >= 1.
     """
+    p, q = _as_count(p, "p"), _as_count(q, "q")
     if p < 2 or q < 2:
         raise DegenerateDimensions(f"need p, q >= 2, got {p}, {q}")
     counts = agreement_counts(x, y)
@@ -233,8 +235,7 @@ def sample_agreement_counts(
     Normalized by ``n_pairs`` they estimate
     :func:`expected_agreement_terms`.
     """
-    if n_pairs < 1:
-        raise NonPositiveDimension("n_pairs must be >= 1")
+    n_pairs = _as_count(n_pairs, "n_pairs")
     rng = np.random.default_rng(rng)
     flat = pi.cells.ravel()
     draws = rng.choice(flat.size, size=(2, n_pairs), p=flat)

@@ -16,14 +16,13 @@ nonnegative orthant with per-set increments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._record import Record
 from .coupling import MARGIN_SUM_TOL, JointDistribution, Margin
-from .errors import NotConverged
+from .errors import NotConverged, _as_count, _as_tolerance
 
 __all__ = [
     "SolverConfig",
@@ -46,10 +45,8 @@ class SolverConfig:
     max_iterations: int = 100_000
 
     def __post_init__(self):
-        if not 0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be positive and finite")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        _as_tolerance(self.tolerance, "tolerance", allow_zero=False)
+        _as_count(self.max_iterations, "max_iterations")
 
 
 @dataclass(frozen=True)

@@ -195,7 +195,9 @@ def test_delta_closed_form_values():
         cc.delta_closed_form(0, 3)
 
 
-@pytest.mark.parametrize("p, q", [(3.5, 4), (3, 4.5), (0, 4), (3, -1)])
+@pytest.mark.parametrize(
+    "p, q", [(3.5, 4), (3, 4.5), (3.0, 4), (3, "4"), (None, 4), (0, 4), (3, -1)]
+)
 def test_delta_rejects_non_integer_dimensions(p, q):
     with pytest.raises(cc.NonPositiveDimension):
         cc.delta_closed_form(p, q)

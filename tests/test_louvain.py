@@ -284,9 +284,13 @@ def test_criterion_by_name_and_config_validation():
     with pytest.raises(ValueError):
         cc.criterion_by_name("modularity")
     for restarts in (0, 2.5, 2.0, "3", None):
-        with pytest.raises(ValueError, match="restarts"):
+        with pytest.raises(cc.NonPositiveDimension, match="restarts"):
             cc.LouvainConfig(restarts=restarts)
+    for seed in (-1, 2.5, 0.0, "0", None):
+        with pytest.raises(cc.NonPositiveDimension, match="seed"):
+            cc.LouvainConfig(seed=seed)
     assert cc.LouvainConfig(restarts=np.int64(3)).restarts == 3
+    assert cc.LouvainConfig(seed=np.uint32(7)).seed == 7
 
 
 PATH3 = [(0, 1), (1, 2), (2, 3)]

@@ -156,11 +156,13 @@ def test_loose_tolerance_on_the_boundary_still_reports():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         cc.SolverConfig(tolerance=0.0)
-    for bad in (float("nan"), float("inf"), -float("inf")):
+    for bad in (float("nan"), float("inf"), -float("inf"), -1e-3, "1e-3", None):
         with pytest.raises(ValueError, match="tolerance"):
             cc.SolverConfig(tolerance=bad)
-    with pytest.raises(ValueError):
-        cc.SolverConfig(max_iterations=0)
+    for bad in (0, 2.5, 3.0, "3", None):
+        with pytest.raises(cc.NonPositiveDimension, match="max_iterations"):
+            cc.SolverConfig(max_iterations=bad)
+    assert cc.SolverConfig(max_iterations=np.int64(5)).max_iterations == 5
 
 
 def test_solver_report_json():
