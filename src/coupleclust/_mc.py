@@ -1,4 +1,4 @@
-"""Shared Monte-Carlo plumbing: deterministic substreams.
+"""Shared Monte-Carlo plumbing: deterministic substreams and the worker cap.
 
 Samplers that accept ``n_streams`` split their draw budget over that many
 independent generators spawned from the master seed, then merge the
@@ -6,17 +6,17 @@ per-stream outputs in stream order. Results therefore depend on
 ``(seed, n_streams)`` only; whether streams run sequentially or on a thread
 pool never changes a byte.
 
-The ``COUPLECLUST_THREADS`` environment variable sets the size of the thread
-pool used to execute streams: ``min(n_streams, COUPLECLUST_THREADS)``
-workers. Unset, empty, unparsable or below 2, streams run one after another
-on the calling thread.
+:func:`thread_cap`, the number of CPUs this process may use, bounds every
+parallel path of the package: streams run on ``min(n_streams, thread_cap())``
+threads (on the calling thread when that is 1), and the Louvain restarts
+race on at most that many forked processes. It has no setting.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -26,13 +26,18 @@ __all__ = ["thread_cap", "split_counts", "run_streams"]
 
 
 def thread_cap() -> int:
-    """Maximum worker threads allowed by ``COUPLECLUST_THREADS`` (>= 1)."""
-    raw = os.environ.get("COUPLECLUST_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        return 1
-    return max(1, cap)
+    """The number of CPUs this process may use (>= 1): its CPU affinity
+    where the platform reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _substreams(rng: np.random.Generator, k: int) -> list[np.random.Generator]:
+    """``k`` deterministic streams of ``rng``: ``rng`` itself when ``k`` is
+    1 (so one stream draws exactly what plain sequential sampling would),
+    else ``k`` children spawned from it."""
+    return rng.spawn(k) if k > 1 else [rng]
 
 
 def split_counts(total: int, n_streams: int) -> list[int]:
@@ -48,17 +53,12 @@ def run_streams(
     rng: np.random.Generator | int | None,
     n_streams: int,
 ) -> list:
-    """Run ``sample(generator, count)`` once per stream, in stream order.
-
-    With one stream the master generator is used directly (so single-stream
-    callers keep bit-compatibility with plain sequential sampling); with
-    more, child generators are spawned deterministically from it.
-    """
+    """Run ``sample(generator, count)`` once per stream of
+    :func:`_substreams`, on ``min(streams, thread_cap())`` threads, and
+    return the results in stream order."""
     rng = np.random.default_rng(rng)
     counts = split_counts(total, n_streams)
-    if len(counts) == 1:
-        return [sample(rng, counts[0])]
-    gens = rng.spawn(len(counts))
+    gens = _substreams(rng, len(counts))
     workers = min(len(counts), thread_cap())
     if workers <= 1:
         return [sample(g, m) for g, m in zip(gens, counts)]

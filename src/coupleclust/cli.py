@@ -287,8 +287,8 @@ def _add_streams(sub) -> None:
         "--streams",
         type=int,
         default=1,
-        help="independent sampling substreams; results depend only on "
-        "(seed, streams), and COUPLECLUST_THREADS caps the worker pool",
+        help="independent sampling substreams, run on up to one thread per "
+        "usable CPU; results depend only on (seed, streams)",
     )
 
 

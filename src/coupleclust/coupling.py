@@ -210,7 +210,7 @@ class JointDistribution(Record):
     @classmethod
     def from_json_dict(cls, data: dict) -> "JointDistribution":
         cells = np.asarray(data["cells"], dtype=float)
-        if cells.shape != (int(data["p"]), int(data["q"])):
+        if cells.shape != (_as_count(data["p"], "p"), _as_count(data["q"], "q")):
             raise DimensionMismatch(
                 f"cells shape {cells.shape} does not match p={data['p']}, q={data['q']}"
             )

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from .errors import (
     DimensionMismatch,
     EdgeListParseError,
     EmptyGraph,
+    NegativeEntry,
     NonFiniteEntry,
     ZeroEps,
     _as_count,
@@ -99,11 +101,11 @@ class WeightedGraph:
         if not np.isfinite(mat.data).all():
             raise NonFiniteEntry("weights must be finite")
         if mat.nnz and mat.data.min() < 0:
-            raise ValueError("weights must be nonnegative")
+            raise NegativeEntry("weights must be nonnegative")
         t = mat.T.tocsr()  # canonical too, so equal arrays mean equal matrices
         pairs = zip((mat.indptr, mat.indices, mat.data), (t.indptr, t.indices, t.data))
         if not all(np.array_equal(x, y) for x, y in pairs):
-            raise ValueError("weights must be symmetric")
+            raise DimensionMismatch("weights must be symmetric")
         for arr in (mat.data, mat.indices, mat.indptr):
             arr.flags.writeable = False
         self._csr = mat
@@ -136,11 +138,15 @@ class WeightedGraph:
     def _from_arrays(cls, n: int, rows, cols, vals) -> "WeightedGraph":
         """Build from index and weight arrays, each undirected edge once;
         off-diagonal entries are mirrored here. Node indices must be
-        integers."""
+        integers in ``[0, n)``."""
         n = _as_count(n, "n", minimum=0)
         rows, cols = (
             _as_integers(a, "node indices").astype(np.int64, copy=False) for a in (rows, cols)
         )
+        ends = np.concatenate([rows, cols])
+        outside = ends[(ends < 0) | (ends >= n)]
+        if outside.size:
+            raise DimensionMismatch(f"node index {outside[0]} is outside [0, n) for n = {n}")
         vals = np.asarray(vals, dtype=float)
         off = rows != cols
         i, j = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
@@ -223,8 +229,8 @@ def load_edge_list(path) -> WeightedGraph:
 
 
 def _check_eps(eps: float, allow_zero: bool = True) -> None:
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must lie in [0, 1], got {eps!r}")
+    if not (isinstance(eps, Real) and 0.0 <= eps <= 1.0):
+        raise ValueError(f"eps must be a real number in [0, 1], got {eps!r}")
     if not allow_zero and eps == 0.0:
         raise ZeroEps("eps = 0 leaves the multiplicative bias unbounded")
 

@@ -51,7 +51,6 @@ always).
 from __future__ import annotations
 
 import math
-import os
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -60,6 +59,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._mc import _substreams, thread_cap
 from ._record import Record
 from .errors import (
     DimensionMismatch, EmptyGraph, NonFiniteEntry, TooLarge, _as_count, _as_integers
@@ -674,12 +674,6 @@ def _forked_run(i: int) -> tuple[np.ndarray, list[float]]:
     return _single_run(sg, criterion, tol, streams[i])
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _can_fork(sg: _SearchGraph, workers: int) -> bool:
     """Whether a race on ``workers`` forked processes pays and is safe:
     two or more workers, a graph big enough to repay the pool, the ``fork``
@@ -700,7 +694,7 @@ def _race(
 ) -> list[tuple[np.ndarray, list[float]]]:
     """One :func:`_single_run` per stream, returned in stream order.
 
-    The runs go to ``min(len(streams), usable CPUs)`` forked worker
+    The runs go to ``min(len(streams), thread_cap())`` forked worker
     processes when :func:`_can_fork` allows, else they run here one after
     another. Forked, not spawned: a worker inherits the search graph
     instead of importing the package and unpickling it. A run is the same deterministic computation either way, so the
@@ -710,7 +704,7 @@ def _race(
     returns; one that dies without a Python exception (most likely killed
     for lack of memory) is reported as :class:`MemoryError`.
     """
-    workers = min(len(streams), _usable_cpus())
+    workers = min(len(streams), thread_cap())
     if not _can_fork(sg, workers):
         return [_single_run(sg, criterion, tol, stream) for stream in streams]
     import multiprocessing
@@ -772,7 +766,7 @@ def louvain(
     tol = _check_graph(g, criterion)
     sg = _SearchGraph(g)
     master = np.random.default_rng(cfg.seed)
-    streams = master.spawn(cfg.restarts) if cfg.restarts > 1 else [master]
+    streams = _substreams(master, cfg.restarts)
 
     runs = _race(sg, criterion, tol, streams)
     top = max(run_trace[-1] for _, run_trace in runs)

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import coupleclust
+from coupleclust import _mc
 from coupleclust.cli import main
 
 
@@ -242,6 +243,15 @@ def test_tolerance_must_be_finite_and_nonnegative(
     assert json.loads(out)["tol"] == 1e-9
 
 
+def test_joint_file_dimensions_must_be_integers(capsys, tmp_path):
+    path = tmp_path / "joint.json"
+    path.write_text(json.dumps({"p": 2.5, "q": 2, "cells": [[0.25, 0.25], [0.25, 0.25]]}))
+    code, out, err = run_cli(capsys, ["monge-check", str(path)])
+    assert code == 1
+    assert out == ""
+    assert_single_json_error(err, "NonPositiveDimension")
+
+
 @pytest.mark.parametrize("extra", [[], ["--theoretical"]])
 def test_bias_hist_needs_a_node_pair(capsys, extra):
     code, out, err = run_cli(capsys, ["bias-hist", "1", "0.3"] + extra)
@@ -445,7 +455,7 @@ def test_cluster_dead_restart_worker_reports_memory_error(capsys, monkeypatch, t
     louvain_module = sys.modules["coupleclust.louvain"]
     g = coupleclust.gilbert(150, 0.1, rng=1)
     sg = louvain_module._SearchGraph(g)
-    if not louvain_module._can_fork(sg, min(8, louvain_module._usable_cpus())):
+    if not louvain_module._can_fork(sg, min(8, _mc.thread_cap())):
         pytest.skip("restarts race in-process here")
     parent = os.getpid()
 

@@ -9,6 +9,7 @@ import numpy.testing as npt
 import pytest
 
 import coupleclust as cc
+from coupleclust import _mc
 from conftest import h_valid_margin_pair
 
 
@@ -257,11 +258,12 @@ def test_delta_monte_carlo_reproducible_per_seed_and_streams():
 
 
 def test_delta_monte_carlo_thread_pool_matches_sequential(monkeypatch):
-    monkeypatch.setenv("COUPLECLUST_THREADS", "4")
-    a = cc.delta_monte_carlo(4, 2, 6_000, rng=13, n_streams=3)
-    monkeypatch.setenv("COUPLECLUST_THREADS", "1")
-    b = cc.delta_monte_carlo(4, 2, 6_000, rng=13, n_streams=3)
-    assert a.mean == b.mean
+    for n_streams in (2, 3, 5):
+        runs = []
+        for cap in (1, 2):
+            monkeypatch.setattr(_mc, "thread_cap", lambda: cap)
+            runs.append(cc.delta_monte_carlo(4, 2, 6_000, rng=13, n_streams=n_streams))
+        assert runs[0] == runs[1]
 
 
 def batch_delta(p, q, m, seed, n_streams):
@@ -338,6 +340,10 @@ def test_joint_json_round_trip():
     data["p"] = 3
     with pytest.raises(cc.DimensionMismatch):
         cc.JointDistribution.from_json_dict(data)
+    for bad in (2.5, 2.0, "2"):
+        data["p"] = bad
+        with pytest.raises(cc.NonPositiveDimension, match="^p must be an integer"):
+            cc.JointDistribution.from_json_dict(data)
 
 
 def test_from_cells_rejections_and_dust():

@@ -33,6 +33,42 @@ def test_weighted_graph_validation():
         cc.WeightedGraph.from_edges(3, [(1.9, 2, 1.0)])
 
 
+GRAPH_ERRORS = {
+    "negative-weight": (
+        lambda: cc.WeightedGraph(np.array([[0.0, -1.0], [-1.0, 0.0]])), cc.NegativeEntry, "nonnegative"
+    ),
+    "asymmetric-dense": (
+        lambda: cc.WeightedGraph(np.array([[0.0, 1.0], [2.0, 0.0]])), cc.DimensionMismatch, "symmetric"
+    ),
+    "asymmetric-sparse": (
+        lambda: cc.WeightedGraph(sparse.csr_array(np.array([[0.0, 1.0], [0.0, 0.0]]))),
+        cc.DimensionMismatch,
+        "symmetric",
+    ),
+    "index-above-n": (
+        lambda: cc.WeightedGraph.from_edges(2, [(0, 5, 1.0)]),
+        cc.DimensionMismatch,
+        r"node index 5 is outside \[0, n\) for n = 2",
+    ),
+    "index-equal-n": (
+        lambda: cc.WeightedGraph.from_edges(2, [(2, 1, 1.0)]),
+        cc.DimensionMismatch,
+        r"node index 2 is outside \[0, n\) for n = 2",
+    ),
+    "index-below-0": (
+        lambda: cc.WeightedGraph.from_edges(2, [(0, -1, 1.0)]),
+        cc.DimensionMismatch,
+        r"node index -1 is outside \[0, n\) for n = 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, error, message", GRAPH_ERRORS.values(), ids=GRAPH_ERRORS.keys())
+def test_graph_construction_raises_package_errors(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_weighted_graph_rejects_non_finite_weights(bad):
     a = np.array([[0.0, bad], [bad, 0.0]])

@@ -145,6 +145,21 @@ def test_tolerances_are_finite_and_nonnegative(check):
             check(bad)
 
 
+# Every public eps parameter, from the count table's valid calls (less its
+# eps = 0 row, a second call of empirical_bias_histogram).
+EPS_ROWS = [(f, kwargs) for f, kwargs, _ in COUNTS if kwargs.get("eps")]
+
+
+@pytest.mark.parametrize(
+    "func, kwargs", EPS_ROWS, ids=[f.__qualname__ for f, _ in EPS_ROWS]
+)
+def test_eps_is_a_real_number_in_the_unit_interval(func, kwargs):
+    func(**{**kwargs, "eps": np.float64(0.5)})
+    for bad in ("0.3", None, float("nan"), float("inf"), -0.1, 1.5):
+        with pytest.raises(ValueError, match="^eps must be a real number in"):
+            func(**{**kwargs, "eps": bad})
+
+
 @pytest.mark.parametrize("make", [cc.Partition, cc.Partition.from_labels])
 def test_class_labels_are_integers(make):
     for labels in ([1.5, 2.7, 1.2], [0.0, 1.0, 0.0], np.array([0, 1], dtype=np.float32)):

@@ -14,6 +14,7 @@ import numpy.testing as npt
 import pytest
 
 import coupleclust as cc
+from coupleclust import _mc
 from conftest import brute_force_score
 
 # the submodule, which the package-level function of the same name shadows
@@ -488,7 +489,7 @@ RACE_GRAPHS = {
 def forks(g, restarts: int) -> bool:
     """Whether ``louvain`` races ``restarts`` restarts on ``g`` on forked
     workers here: the graph is big enough and the host can."""
-    workers = min(restarts, louvain_module._usable_cpus())
+    workers = min(restarts, _mc.thread_cap())
     return louvain_module._can_fork(louvain_module._SearchGraph(g), workers)
 
 
