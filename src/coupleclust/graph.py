@@ -32,7 +32,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy import sparse
-from scipy.stats import binom
 
 from ._record import Record
 from .errors import (
@@ -235,6 +234,10 @@ def _check_eps(eps: float, allow_zero: bool = True) -> None:
         raise ZeroEps("eps = 0 leaves the multiplicative bias unbounded")
 
 
+# pairs drawn per call when a Gilbert graph is sampled
+_PAIR_BLOCK = 1 << 16
+
+
 def gilbert(
     n: int, eps: float, rng: np.random.Generator | int | None = None
 ) -> WeightedGraph:
@@ -242,7 +245,8 @@ def gilbert(
     edge of weight 1 independently with probability ``eps``. No self-loops.
 
     One uniform is drawn per pair in upper-triangle row-major order, which
-    fixes the seed-to-graph mapping; memory is O(n + m) for m edges.
+    fixes the seed-to-graph mapping. The uniforms are drawn in fixed-size
+    blocks of pairs, so memory is O(n + m) for m edges.
     """
     n = _as_count(n, "n")
     _check_eps(eps)
@@ -261,8 +265,8 @@ def gilbert_weighted(
 
     ``max_weight=1`` reduces to the same edge distribution as
     :func:`gilbert` (though the two consume the random stream differently).
-    Pairs are drawn in the same order as in :func:`gilbert`, so a seed
-    always gives the same graph; memory is O(n + m) for m edges.
+    Pairs are drawn in the same order and blocks as in :func:`gilbert`, so
+    a seed always gives the same graph; memory is O(n + m) for m edges.
     """
     n, max_weight = _as_count(n, "n"), _as_count(max_weight, "max_weight")
     _check_eps(eps)
@@ -271,16 +275,28 @@ def gilbert_weighted(
 
 
 def _upper_triangle_graph(n: int, draw) -> WeightedGraph:
-    """Graph whose pair (i, j), i < j, has weight ``draw(k)[j - i - 1]`` for
-    the k = n-1-i values drawn for row i. Rows are drawn in order, which
-    consumes the random stream exactly as one draw over all pairs in
-    upper-triangle row-major order would, without its O(n**2) arrays."""
+    """Graph whose pair (i, j), i < j, has weight ``v[p]`` at the pair's
+    index ``p`` in upper-triangle row-major order, where ``v`` is the
+    concatenation of ``draw(k)`` over blocks of ``k <= _PAIR_BLOCK`` pairs.
+    Consecutive draws of sizes a and b consume the stream exactly as one
+    draw of size a + b (true of ``Generator.random`` and
+    ``Generator.binomial``), so the graph is that of one draw over all
+    pairs, without its O(n**2) arrays: memory is O(n + m + _PAIR_BLOCK) for
+    m edges. Each nonzero's row is found by one ``searchsorted`` on the row
+    start offsets ``i(n-1) - i(i-1)/2``."""
+    i = np.arange(n, dtype=np.int64)
+    starts = i * (n - 1) - i * (i - 1) // 2
+    pairs = n * (n - 1) // 2
     rows, cols, vals = [], [], []
-    for i in range(n):  # the last row draws nothing but keeps the lists nonempty
-        w = draw(n - 1 - i)
+    # the range includes `pairs`, so n = 1 still makes one empty draw and
+    # the lists are never empty
+    for lo in range(0, pairs + 1, _PAIR_BLOCK):
+        w = draw(min(_PAIR_BLOCK, pairs - lo))
         nz = np.flatnonzero(w)
-        rows.append(np.full(nz.size, i))
-        cols.append(nz + (i + 1))
+        flat = nz + lo
+        row = np.searchsorted(starts, flat, side="right") - 1
+        rows.append(row)
+        cols.append(flat - starts[row] + row + 1)
         vals.append(w[nz])
     return WeightedGraph._from_arrays(n, *map(np.concatenate, (rows, cols, vals)))
 
@@ -434,6 +450,10 @@ def _degree_rows(n: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
     the model's ``n`` and ``eps``."""
     n = _as_count(n, "n")
     _check_eps(eps, allow_zero=False)
+    # imported here, not at module level: scipy.stats takes most of a fresh
+    # import of the package, and only the exact bias laws need it
+    from scipy.stats import binom
+
     k = np.arange(n + 1)
     return binom.pmf(k, n - 1, eps), binom.pmf(k - 1, n - 1, eps)
 

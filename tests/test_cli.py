@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import coupleclust
-from coupleclust import _mc
+from coupleclust import _mc, cli
 from coupleclust.cli import main
 
 
@@ -634,3 +634,45 @@ def test_module_entry_point_exit_statuses(tmp_path):
     usage = run("delta", "2", "2", "--samples", "-5")
     assert usage.returncode == 2
     assert "--samples: must be >= 0" in usage.stderr
+
+
+def _without_elapsed(out):
+    """stdout of a JSON command with the manifest's wall time dropped;
+    other output unchanged."""
+    try:
+        payload = json.loads(out)
+    except json.JSONDecodeError:
+        return out
+    del payload["manifest"]["elapsed_s"]
+    return payload
+
+
+def test_main_reuses_one_parser_without_carrying_state(capsys, monkeypatch):
+    """``main`` parses with one parser per process; calls in a row with other
+    subcommands, flags or defaults print what a fresh parser's calls do."""
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    calls = [
+        ["cluster", "--karate", "--criterion", "indetermination", "--seed", "3"],
+        ["cluster", "--karate"],
+        ["bias-hist", "50", "0.3", "--theoretical", "--bins", "20"],
+        ["delta", "2", "3", "--samples", "100", "--seed", "1"],
+        ["delta", "2", "3"],
+    ]
+
+    def outputs():
+        return [_without_elapsed(run_cli(capsys, argv)[1]) for argv in calls]
+
+    cached = outputs()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert cached == outputs()
+
+
+def test_usage_error_leaves_the_parser_usable(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["delta", "2", "2", "--samples", "-5"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, ["delta", "2", "2", "--samples", "10"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["manifest"]["parameters"]["samples"] == 10

@@ -248,6 +248,40 @@ def test_gilbert_seed_to_graph_mapping_is_pinned():
                 npt.assert_array_equal(graph.weights.toarray(), upper + upper.T)
 
 
+def row_loop_gilbert(n, draw):
+    """Reference: the Gilbert upper triangle drawn one row at a time, row i
+    holding its n-1-i pairs (i, i+1), ..., (i, n-1)."""
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        w = draw(n - 1 - i)
+        nz = np.flatnonzero(w)
+        rows.append(np.full(nz.size, i))
+        cols.append(nz + (i + 1))
+        vals.append(w[nz])
+    return cc.WeightedGraph._from_arrays(n, *map(np.concatenate, (rows, cols, vals)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 400, 1000])
+@pytest.mark.parametrize("eps", [0.0, 0.3, 1.0])
+def test_gilbert_blocks_match_the_row_loop(n, eps):
+    # n = 400 has 79800 pairs, so its draw spans two blocks
+    for seed in (0, 1, 2):
+        for sample, draw in (
+            (lambda r: cc.gilbert(n, eps, rng=r), lambda r: lambda k: r.random(k) < eps),
+            (
+                lambda r: cc.gilbert_weighted(n, eps, 4, rng=r),
+                lambda r: lambda k: r.binomial(4, eps, size=k),
+            ),
+        ):
+            got, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            a, b = sample(got).weights, row_loop_gilbert(n, draw(ref)).weights
+            assert np.array_equal(a.indptr, b.indptr)
+            assert np.array_equal(a.indices, b.indices)
+            assert np.array_equal(a.data, b.data)
+            # the stream is left where one draw over all pairs leaves it
+            assert got.bit_generator.state == ref.bit_generator.state
+
+
 def test_local_criteria_against_direct_formulas():
     rng = np.random.default_rng(3)
     g = cc.gilbert_weighted(12, 0.5, 3, rng=rng)

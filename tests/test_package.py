@@ -1,6 +1,12 @@
-"""The package surface: every public name of every submodule, exported once."""
+"""The package surface: every public name of every submodule, exported once,
+and what importing the package loads."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import coupleclust as cc
 
@@ -51,3 +57,37 @@ def test_every_public_name_is_its_submodules_object():
     assert exported == set(cc.__all__)
     # the function, not the submodule it shares a name with
     assert callable(cc.louvain)
+
+
+GUARD = """
+import json, sys
+import coupleclust, coupleclust.cli
+steps = ["scipy.stats" in sys.modules]
+code = coupleclust.cli.main(["cluster", "--karate", "--out", sys.argv[1]])
+steps.append("scipy.stats" in sys.modules)
+times, plus = coupleclust.theoretical_bias_histograms(50, 0.3)
+print(json.dumps({"code": code, "loaded": steps, "counts": [times.counts.tolist(), plus.counts.tolist()]}))
+"""
+
+
+def test_clustering_does_not_import_scipy_stats(tmp_path):
+    """A fresh process imports the package and clusters karate without
+    loading ``scipy.stats``, which only the exact bias laws use; this
+    process already has it, so only a new interpreter can tell. The laws
+    then load it on demand and give the same counts as here."""
+    src = str(Path(cc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", GUARD, str(tmp_path / "labels.json")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["code"] == 0
+    assert report["loaded"] == [False, False]
+    assert (tmp_path / "labels.json").exists()
+    times, plus = cc.theoretical_bias_histograms(50, 0.3)
+    assert report["counts"] == [times.counts.tolist(), plus.counts.tolist()]
