@@ -381,17 +381,43 @@ def _delta_stream(p: int, q: int, m: int, rng: np.random.Generator) -> np.ndarra
     chunks of rows of at most ``_DRAW_CELLS`` entries; a chunk is reduced
     to its factors at once. Chunked draws consume the stream as one
     ``(m, p)`` and one ``(m, q)`` draw would and row sums do not depend on
-    the chunk, so the result is the same to the last bit. O(m (p + q))
-    time; memory O(m) for the result plus one chunk.
+    the chunk, so the result is the same to the last bit. Both margins'
+    chunks are drawn into one reused buffer (standard exponentials are the
+    unit-scale exponentials, bit for bit). O(m (p + q)) time; memory O(m)
+    for the result plus one chunk.
     """
     d2 = np.ones(m)
+    chunk = np.empty(max(_DRAW_CELLS, p, q))
     for k in (p, q):
         step = max(1, _DRAW_CELLS // k)
         for lo in range(0, m, step):
-            x = rng.exponential(size=(min(step, m - lo), k))
+            rows = min(step, m - lo)
+            x = rng.standard_exponential(out=chunk[: rows * k].reshape(rows, k))
             x /= x.sum(axis=1, keepdims=True)
-            d2[lo : lo + x.shape[0]] *= ((x - 1.0 / k) ** 2).sum(axis=1)
+            x -= 1.0 / k
+            x *= x
+            d2[lo : lo + rows] *= x.sum(axis=1)
     return d2
+
+
+def _delta_moments(
+    p: int, q: int, m: int, rng: np.random.Generator
+) -> tuple[int, float, float]:
+    """Count, mean and sum of squared deviations from the mean of one
+    stream's :func:`_delta_stream` samples. The mean is the array's own
+    ``mean()``; the squared deviations are summed ``_DRAW_CELLS`` samples at
+    a time in one reused buffer, so beyond the samples the memory is one
+    chunk."""
+    d2 = _delta_stream(p, q, m, rng)
+    mean = float(d2.mean())
+    sq_dev = 0.0
+    chunk = np.empty(min(m, _DRAW_CELLS))
+    for lo in range(0, m, chunk.size):
+        dev = chunk[: min(chunk.size, m - lo)]
+        np.subtract(d2[lo : lo + dev.size], mean, out=dev)
+        dev *= dev
+        sq_dev += float(dev.sum())
+    return m, mean, sq_dev
 
 
 def delta_monte_carlo(
@@ -425,6 +451,10 @@ def delta_monte_carlo(
     Returns
     -------
     DeltaEstimate
+        Each stream's samples are reduced on their own to a mean and a sum
+        of squared deviations, and the streams are combined in stream order
+        by the pairwise update of Chan et al., so no stream's samples are
+        copied or concatenated.
 
     Raises
     ------
@@ -435,13 +465,19 @@ def delta_monte_carlo(
     n_samples = _as_count(n_samples, "n_samples")
     from ._mc import run_streams
 
-    chunks = run_streams(
-        lambda gen, m: _delta_stream(p, q, m, gen), n_samples, rng, n_streams
+    moments = run_streams(
+        lambda gen, m: _delta_moments(p, q, m, gen), n_samples, rng, n_streams
     )
-    d2 = np.concatenate(chunks)
-    mean = float(d2.mean())
+    count, mean, sq_dev = moments[0]
+    for m, stream_mean, stream_sq_dev in moments[1:]:
+        # pairwise update of Chan, Golub & LeVeque (1979)
+        total = count + m
+        delta = stream_mean - mean
+        mean += delta * m / total
+        sq_dev += stream_sq_dev + delta * delta * count * m / total
+        count = total
     if n_samples > 1:
-        std_error = float(d2.std(ddof=1) / math.sqrt(n_samples))
+        std_error = math.sqrt(sq_dev / (n_samples - 1)) / math.sqrt(n_samples)
     else:
         std_error = 0.0
     return DeltaEstimate(mean=mean, std_error=std_error, n_samples=n_samples)

@@ -27,9 +27,11 @@ least ``_FORK_MIN_ENTRIES`` stored entries and more than one usable CPU,
 the runs go to forked worker processes; each run stays sequential and the
 results are raced in stream order, so the labels, score and trace are
 identical to those of the in-process loop.
-:func:`exhaustive_best_partition` scores every partition (Bell-number
-many cached restricted-growth strings, so it is capped at 10 nodes) and is
-the oracle the heuristic is measured against.
+:func:`exhaustive_best_partition` scores every partition, Bell-number
+many, so it is capped at 10 nodes, and is the oracle the heuristic is
+measured against. It extends the scores of the partitions of the first
+t items to those of the first t + 1, over partition levels cached once
+for every graph size.
 
 Both criteria are additive in their block arguments, which lets move gains
 and global scores be computed from per-class aggregates (internal weight,
@@ -225,7 +227,13 @@ def _check_graph(g: WeightedGraph, criterion: LocalCriterion) -> float:
     Every block the search evaluates has ``w_sum`` and degree masses at most
     2M and sizes at most n, so if the block with all of them at their bound
     is finite (in Python floats, which warn of nothing), no intermediate
-    product overflows; otherwise the graph is rejected."""
+    product overflows; otherwise the graph is rejected. A criterion that is
+    not a :class:`LocalCriterion` (a name, say) raises :class:`ValueError`."""
+    if not isinstance(criterion, LocalCriterion):
+        raise ValueError(
+            f"criterion must be a LocalCriterion, got {criterion!r}; "
+            "use criterion_by_name() to look one up by name"
+        )
     if g.n == 0:
         raise EmptyGraph("graph has no nodes")
     two_m = g.total_weight_2m
@@ -792,22 +800,40 @@ def louvain(
     )
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=None)
+def _partition_level(t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Level ``t``: every set partition of items 0..t as a canonical int8
+    label row, and the int32 index of each row's parent in level ``t - 1``
+    (the row with its last item dropped; 0 for level 0's single row). The
+    rows are stored column by column, since the scorer compares whole
+    columns.
+
+    Level ``t``'s rows are level ``t - 1``'s extended by one class value
+    ``v``, taken in blocks of increasing ``v`` and parent order within a
+    block, which is restricted-growth order. A level does not depend on the
+    number of items being partitioned, so every graph size shares the
+    cache, which holds at most the 10 levels the oracle allows."""
+    if t == 0:
+        rows, parent = np.zeros((1, 1), dtype=np.int8), np.zeros(1, dtype=np.int32)
+    else:
+        prev, _ = _partition_level(t - 1)
+        maxes = prev.max(axis=1)
+        blocks = [np.flatnonzero(maxes + 1 >= v) for v in range(int(maxes.max()) + 2)]
+        parent = np.concatenate(blocks).astype(np.int32)
+        rows = np.empty((parent.size, t + 1), dtype=np.int8, order="F")
+        rows[:, :t] = prev[parent]
+        rows[:, t] = np.repeat(np.arange(len(blocks), dtype=np.int8), [b.size for b in blocks])
+        # blocks[0] extends every row with 0, so by induction the first row
+        # stays the all-zero (single-class) partition.
+    rows.flags.writeable = False
+    parent.flags.writeable = False
+    return rows, parent
+
+
 def _restricted_growth_strings(n: int) -> np.ndarray:
     """All set partitions of n items as canonical label rows, first row the
     single-class partition."""
-    rows = np.zeros((1, 1), dtype=np.int8)
-    for _ in range(1, n):
-        maxes = rows.max(axis=1)
-        blocks = []
-        for v in range(int(maxes.max()) + 2):
-            take = rows[maxes + 1 >= v]
-            ext = np.full((take.shape[0], 1), v, dtype=np.int8)
-            blocks.append(np.hstack([take, ext]))
-        rows = np.vstack(blocks)
-        # blocks[0] extends every row with 0, so by induction the first row
-        # stays the all-zero (single-class) partition.
-    return rows
+    return _partition_level(n - 1)[0]
 
 
 def exhaustive_best_partition(
@@ -823,6 +849,12 @@ def exhaustive_best_partition(
     ``tol`` of the best (as in :func:`louvain`) count as tied: equal optima
     can differ in the last bits, since each partition sums its pairs in
     its own order.
+
+    The scores are built item by item over the cached partition levels: a
+    partition of items 0..t scores as its parent on items 0..t-1, plus
+    ``m(t, t)``, plus ``2 m(i, t)`` for each ``i < t`` in its class, added
+    in increasing ``i``. That is one pass over a level per item pair, with
+    no temporary larger than one level's scores.
     """
     tol = _check_graph(g, criterion)
     if g.n > 10:
@@ -832,11 +864,13 @@ def exhaustive_best_partition(
     c = criterion.block_evaluator(
         g.weights.toarray(), d[:, None], d[None, :], 1.0, 1.0, n, g.total_weight_2m
     )
+    scores = np.full(1, c[0, 0])
+    for t in range(1, n):
+        rows, parent = _partition_level(t)
+        scores = scores[parent] + c[t, t]
+        for i in range(t):
+            np.add(scores, 2.0 * c[i, t], out=scores, where=rows[:, i] == rows[:, t])
     rows = _restricted_growth_strings(n)
-    scores = np.zeros(rows.shape[0])
-    for i in range(n):
-        for j in range(n):
-            scores += c[i, j] * (rows[:, i] == rows[:, j])
     top = scores.max()
     best = int(np.flatnonzero(scores >= top - tol)[0])
     return Partition.from_labels(rows[best].astype(np.int64)), float(scores[best])

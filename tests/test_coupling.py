@@ -266,9 +266,9 @@ def test_delta_monte_carlo_thread_pool_matches_sequential(monkeypatch):
         assert runs[0] == runs[1]
 
 
-def batch_delta(p, q, m, seed, n_streams):
+def batch_samples(p, q, m, seed, n_streams):
     """Reference: one (m, p) and one (m, q) Dirichlet draw per stream, the
-    delta estimate as first computed."""
+    squared distances as first computed, concatenated in stream order."""
     from coupleclust._mc import run_streams
 
     def stream(rng, m):
@@ -278,9 +278,7 @@ def batch_delta(p, q, m, seed, n_streams):
         nu /= nu.sum(axis=1, keepdims=True)
         return ((mu - 1.0 / p) ** 2).sum(axis=1) * ((nu - 1.0 / q) ** 2).sum(axis=1)
 
-    d2 = np.concatenate(run_streams(stream, m, seed, n_streams))
-    std_error = float(d2.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-    return float(d2.mean()), std_error
+    return np.concatenate(run_streams(stream, m, seed, n_streams))
 
 
 @pytest.mark.parametrize(
@@ -288,20 +286,36 @@ def batch_delta(p, q, m, seed, n_streams):
     [(3, 4, 200_000, 7, 1), (1, 1, 5, 0, 1), (10, 10, 200_001, 3, 2), (2, 9, 70_000, 11, 3)],
 )
 def test_delta_monte_carlo_chunked_draws_are_bit_identical(p, q, m, seed, n_streams):
+    from coupleclust._mc import run_streams
+    from coupleclust.coupling import _delta_stream
+
+    d2 = batch_samples(p, q, m, seed, n_streams)
+    chunked = run_streams(lambda gen, k: _delta_stream(p, q, k, gen), m, seed, n_streams)
+    assert np.concatenate(chunked).tobytes() == d2.tobytes()
+    # Each stream is reduced on its own, so one stream's mean is the mean of
+    # the whole sample to the last bit; combining several by the pairwise
+    # update, and summing squared deviations by chunk, agrees to rounding.
     est = cc.delta_monte_carlo(p, q, m, rng=seed, n_streams=n_streams)
-    assert (est.mean, est.std_error) == batch_delta(p, q, m, seed, n_streams)
+    if n_streams == 1:
+        assert est.mean == float(d2.mean())
+    else:
+        assert est.mean == pytest.approx(float(d2.mean()), rel=1e-12, abs=0)
+    std_error = float(d2.std(ddof=1) / math.sqrt(m))
+    assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=0)
 
 
 def test_delta_monte_carlo_memory_is_bounded():
-    # the whole (m, 10) draws alone would take 80 MB each
-    tracemalloc.start()
-    try:
-        est = cc.delta_monte_carlo(10, 10, 1_000_000, rng=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert abs(est.mean - cc.delta_closed_form(10, 10)) <= 5 * est.std_error
-    assert peak < 40 * 2**20
+    # the samples alone take 8 MB; the whole (m, 10) draws would take 80 MB
+    # each, and concatenating the streams and taking their std 24 MB
+    for n_streams in (1, 2):
+        tracemalloc.start()
+        try:
+            est = cc.delta_monte_carlo(10, 10, 1_000_000, rng=1, n_streams=n_streams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(est.mean - cc.delta_closed_form(10, 10)) <= 5 * est.std_error
+        assert peak <= 10e6
 
 
 def test_sample_dirichlet_is_a_margin():

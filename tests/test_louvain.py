@@ -214,6 +214,102 @@ def test_exhaustive_ties_go_to_earliest_partition():
         npt.assert_allclose(score, top, rtol=1e-12, atol=1e-12)
 
 
+def pairwise_rows(n: int) -> np.ndarray:
+    """Reference enumeration of the oracle's partitions: each row set of
+    n - 1 items extended by every class value, in blocks of increasing
+    value, rebuilt from scratch for every n."""
+    rows = np.zeros((1, 1), dtype=np.int8)
+    for _ in range(1, n):
+        maxes = rows.max(axis=1)
+        blocks = []
+        for v in range(int(maxes.max()) + 2):
+            take = rows[maxes + 1 >= v]
+            ext = np.full((take.shape[0], 1), v, dtype=np.int8)
+            blocks.append(np.hstack([take, ext]))
+        rows = np.vstack(blocks)
+    return rows
+
+
+def pairwise_exhaustive(g, crit, rows):
+    """Reference oracle: each partition's score summed row-major over all
+    ordered item pairs, one pass over every partition per pair, under the
+    same tie rule. Returns the labels, the score and the tolerance."""
+    from coupleclust.louvain import _check_graph
+
+    tol = _check_graph(g, crit)
+    d = g.degrees
+    c = crit.block_evaluator(
+        g.weights.toarray(), d[:, None], d[None, :], 1.0, 1.0, g.n, g.total_weight_2m
+    )
+    scores = np.zeros(rows.shape[0])
+    for i in range(g.n):
+        for j in range(g.n):
+            scores += c[i, j] * (rows[:, i] == rows[:, j])
+    best = int(np.flatnonzero(scores >= scores.max() - tol)[0])
+    return rows[best], scores[best], tol
+
+
+def oracle_pool():
+    """Two graphs per size 1..10 and weight kind (unit, small integers,
+    uniform floats), every other one with a self-loop on node 0."""
+    rng = np.random.default_rng(20261019)
+    draws = (
+        lambda: 1.0,
+        lambda: float(rng.integers(1, 6)),
+        lambda: float(rng.uniform(0.1, 3.0)),
+    )
+    for n in range(1, 11):
+        for weight in draws:
+            for copy in range(2):
+                edges = [
+                    (i, j, weight())
+                    for i in range(n)
+                    for j in range(i + 1, n)
+                    if rng.random() < 0.5
+                ]
+                if copy:
+                    edges.append((0, 0, weight()))
+                yield cc.WeightedGraph.from_edges(n, edges)
+
+
+def test_exhaustive_matches_the_pairwise_reference():
+    rows = {n: pairwise_rows(n) for n in range(1, 11)}
+    for n in range(1, 11):
+        assert np.array_equal(louvain_module._restricted_growth_strings(n), rows[n])
+    checked = 0
+    for g in oracle_pool():
+        for crit in (cc.independence_criterion(), cc.indetermination_criterion()):
+            if crit.needs_total_weight and g.total_weight_2m == 0:
+                continue
+            labels, ref, tol = pairwise_exhaustive(g, crit, rows[g.n])
+            part, score = cc.exhaustive_best_partition(g, crit)
+            assert np.array_equal(part.labels, labels)
+            assert abs(score - ref) <= tol
+            checked += 1
+    assert checked == 117
+
+
+def test_partition_levels_are_built_once_for_every_size():
+    level = louvain_module._partition_level
+    level.cache_clear()
+    graphs = {n: complete_graph(n) for n in range(4, 11)}
+    crits = (cc.independence_criterion(), cc.indetermination_criterion())
+    # the size order of the benchmark's small-graph cycle, three times over
+    for _ in range(3):
+        for n in range(4, 11):
+            for crit in crits:
+                cc.exhaustive_best_partition(graphs[n], crit)
+    assert level.cache_info().misses <= 10
+
+
+@pytest.mark.parametrize("search", ["louvain", "exhaustive_best_partition", "global_score"])
+def test_criterion_given_by_name_is_rejected(search):
+    g = complete_graph(4)
+    extra = (cc.Partition.from_labels([0, 0, 1, 1]),) if search == "global_score" else ()
+    with pytest.raises(ValueError, match="criterion_by_name"):
+        getattr(cc, search)(g, "independence", *extra)
+
+
 def test_exhaustive_size_cap():
     g = complete_graph(11)
     with pytest.raises(cc.TooLarge):
