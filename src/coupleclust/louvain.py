@@ -22,11 +22,14 @@ for instance), a move the neighbor-restricted pass never proposes. Several
 such runs with different shuffle streams are raced and the best kept, so
 the returned partition is single-node locally optimal, pairwise-merge
 stable, and never scores below either trivial partition (all singletons
-or all-in-one; a final fallback enforces the latter). On a graph with at
-least ``_FORK_MIN_ENTRIES`` stored entries and more than one usable CPU,
-the runs go to forked worker processes; each run stays sequential and the
-results are raced in stream order, so the labels, score and trace are
-identical to those of the in-process loop.
+or all-in-one; a final fallback enforces the latter). On graphs of at most
+``_ESCAPE_CAP`` nodes the polish also runs a Kernighan-Lin-style escape
+pass, O(n**2 * k) for k classes per distinct starting partition per race:
+restarts that polish to the same partition share its result. On a graph
+with at least ``_FORK_MIN_ENTRIES`` stored entries and more than one
+usable CPU, the runs go to forked worker processes; each run stays
+sequential and the results are raced in stream order, so the labels,
+score and trace are identical to those of the in-process loop.
 :func:`exhaustive_best_partition` scores every partition, Bell-number
 many, so it is capped at 10 nodes, and is the oracle the heuristic is
 measured against. It extends the scores of the partitions of the first
@@ -299,18 +302,22 @@ def global_score(
 class _SearchGraph:
     """The original graph as the search reads it.
 
-    Built once per :func:`louvain` call and shared, never mutated, by every
-    restart, level and the fallback: the stored entries as flat arrays for
-    scoring, and the singleton level's lists for the move phases.
+    Built once per :func:`louvain` call and shared by every restart, level
+    and the fallback: the stored entries as flat arrays for scoring, and the
+    singleton level's lists for the move phases. None of these is ever
+    mutated; the one exception is ``escapes``, the results of
+    :func:`_escape_pass` keyed by ``(criterion, tol, starting labels)``,
+    which fills as the restarts run (each forked worker fills its own copy).
     """
 
-    __slots__ = ("g", "entries", "adj", "deg", "size")
+    __slots__ = ("g", "entries", "adj", "deg", "size", "escapes")
 
     def __init__(self, g: WeightedGraph):
         self.g = g
         self.entries = _stored_entries(g)
         lone = _Level.of_classes(self, np.arange(g.n))
         self.adj, self.deg, self.size = lone.adj, lone.deg, lone.size
+        self.escapes: dict[tuple, tuple[np.ndarray, bool]] = {}
 
     def score(self, criterion: LocalCriterion, labels) -> float:
         return _score_labels(self.g, criterion, labels, self.entries)
@@ -547,9 +554,9 @@ def _run_passes(
 _MAX_SWEEPS = 100
 
 # Node count up to which the plateau-escape pass runs; its cost is
-# O(n**2 * classes) per attempt, so it is reserved for small graphs, where
-# single-move plateaus between the greedy result and the optimum are both
-# most common and most visible.
+# O(n**2 * k) for k classes per distinct starting partition per race, so it
+# is reserved for small graphs, where single-move plateaus between the
+# greedy result and the optimum are both most common and most visible.
 _ESCAPE_CAP = 128
 
 
@@ -566,9 +573,19 @@ def _escape_pass(
     move even when its gain is negative, locks the node, and the overall
     best prefix of the sequence is kept (the classic Kernighan-Lin device).
     Deterministic: nodes and classes are scanned in index order. Returns
-    canonical labels and whether the kept prefix improved the score.
+    canonical labels, read-only, and whether the kept prefix improved the
+    score.
+
+    A pass costs O(n**2 * k) for k classes, but only once per distinct
+    starting partition per race: the result is a function of the criterion,
+    ``tol`` and the canonical starting labels, and is kept in
+    ``sg.escapes``, so restarts that polish to the same partition share it.
     """
-    level = _Level.from_partition(sg, _canonical(labels))
+    start = _canonical(labels)
+    key = (criterion, tol, start.tobytes())
+    if key in sg.escapes:
+        return sg.escapes[key]
+    level = _Level.from_partition(sg, start)
     cls_size = level.cls_size
     n = sg.g.n
     two_m = sg.g.total_weight_2m
@@ -604,7 +621,10 @@ def _escape_pass(
 
     for node, src, _dst in reversed(applied[best_len:]):
         _move(level, node, src)
-    return _canonical(level.labels), best_cum > tol
+    result = _canonical(level.labels)
+    result.flags.writeable = False
+    sg.escapes[key] = result, best_cum > tol
+    return sg.escapes[key]
 
 
 def _polish(
@@ -705,8 +725,10 @@ def _race(
     The runs go to ``min(len(streams), thread_cap())`` forked worker
     processes when :func:`_can_fork` allows, else they run here one after
     another. Forked, not spawned: a worker inherits the search graph
-    instead of importing the package and unpickling it. A run is the same deterministic computation either way, so the
-    results are identical. The streams are not advanced here when the runs
+    instead of importing the package and unpickling it. A run is the same
+    deterministic computation either way, so the results are identical
+    (each worker fills its own copy of the escape cache, whose entries
+    change no result). The streams are not advanced here when the runs
     are forked, so a caller must not draw from them afterwards; with one
     stream the race never forks. Every worker is joined before this
     returns; one that dies without a Python exception (most likely killed
@@ -758,8 +780,9 @@ def louvain(
     With two or more restarts, a graph of at least ``_FORK_MIN_ENTRIES``
     stored entries, more than one usable CPU, the ``fork`` start method and
     no other live thread, the restarts run on forked worker processes, one
-    per usable CPU up to the restart count, all joined before this returns. The labels, score and trace
-    are identical to those of the in-process loop, which runs otherwise.
+    per usable CPU up to the restart count, all joined before this returns.
+    The labels, score and trace are identical to those of the in-process
+    loop, which runs otherwise.
 
     Raises
     ------
@@ -870,6 +893,9 @@ def exhaustive_best_partition(
         scores = scores[parent] + c[t, t]
         for i in range(t):
             np.add(scores, 2.0 * c[i, t], out=scores, where=rows[:, i] == rows[:, t])
+    # Row 0, the single class, sums every pair: exactly 0 by the zero-sum
+    # identity, where the float sum leaves rounding noise of either sign.
+    scores[0] = 0.0
     rows = _restricted_growth_strings(n)
     top = scores.max()
     best = int(np.flatnonzero(scores >= top - tol)[0])

@@ -285,8 +285,26 @@ def test_exhaustive_matches_the_pairwise_reference():
             part, score = cc.exhaustive_best_partition(g, crit)
             assert np.array_equal(part.labels, labels)
             assert abs(score - ref) <= tol
+            assert score >= 0.0
             checked += 1
     assert checked == 117
+
+
+def test_exhaustive_optimum_is_never_negative():
+    # the float sum of all pairs of this graph is -1.8e-15 under
+    # indetermination, but the single class scores exactly 0
+    g = cc.WeightedGraph.from_edges(
+        4,
+        [
+            (0, 2, 1.5918967856193353),
+            (0, 3, 1.0942038994257728),
+            (1, 3, 2.374796069932907),
+            (2, 3, 2.998080358375619),
+        ],
+    )
+    part, score = cc.exhaustive_best_partition(g, cc.indetermination_criterion())
+    npt.assert_array_equal(part.labels, [0, 0, 0, 0])
+    assert score == 0.0
 
 
 def test_partition_levels_are_built_once_for_every_size():
@@ -362,13 +380,16 @@ def test_louvain_isolated_nodes_cost_linear_memory():
     assert peak < 16 * 2**20
 
 
+PLATEAU = cc.WeightedGraph.from_edges(
+    6, [(0, 2, 1.0), (0, 3, 1.0), (1, 3, 1.0), (1, 4, 1.0), (4, 5, 1.0)]
+)
+
+
 def test_louvain_escapes_single_move_plateau():
     # from the plateau {0,2}{1,3}{4,5} no single move and no class merge
     # improves, yet {0,2,3}{1,4,5} scores higher; the forced-move escape
     # sequence finds it
-    g = cc.WeightedGraph.from_edges(
-        6, [(0, 2, 1.0), (0, 3, 1.0), (1, 3, 1.0), (1, 4, 1.0), (4, 5, 1.0)]
-    )
+    g = PLATEAU
     for crit in (cc.independence_criterion(), cc.indetermination_criterion()):
         result = cc.louvain(g, crit, cc.LouvainConfig(seed=182))
         _, opt = cc.exhaustive_best_partition(g, crit)
@@ -573,12 +594,114 @@ def test_restarts_tie_to_the_first_within_tolerance():
     assert rounded_apart
 
 
+# The 10-node graph on which default restarts miss the modularity optimum
+# for some seeds (ROADMAP item 5).
+SHORTFALL = cc.WeightedGraph.from_edges(
+    10,
+    [
+        (i, j, 1.0)
+        for i, j in [
+            (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 5), (1, 9),
+            (2, 3), (2, 4), (2, 8), (2, 9), (3, 8), (3, 9), (5, 8), (6, 9), (7, 8),
+        ]
+    ],
+)
+
+
+def escape_pool():
+    """Graphs fixed in advance on which every restart runs the escape pass,
+    each with its shuffle seeds: karate, the shortfall graph, the plateau
+    graph, and sparse graphs with n = 4..40, unit and float weights."""
+    yield cc.load_karate(), range(10)
+    yield SHORTFALL, range(10)
+    yield PLATEAU, (182,)
+    rng = np.random.default_rng(20261019)
+    for n in range(4, 41, 6):
+        for weight in (lambda: 1.0, lambda: float(rng.uniform(0.1, 3.0))):
+            p = min(0.6, 3.0 / n)
+            edges = [(i, j, weight()) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            yield cc.WeightedGraph.from_edges(n, edges), (0, 1)
+
+
+def test_escape_cache_changes_nothing():
+    # The reference runs every restart on a search graph of its own, so no
+    # escape result is shared. The same streams then run on one search
+    # graph shared by all restarts, seeds and both criteria, one after
+    # another and raced; labels and traces must not change.
+    single_run = louvain_module._single_run
+    checked = 0
+    for g, seeds in escape_pool():
+        shared = louvain_module._SearchGraph(g)
+        for crit in CRITERIA:
+            tol = louvain_module._check_graph(g, crit)
+            for seed in seeds:
+                alone = [
+                    single_run(louvain_module._SearchGraph(g), crit, tol, stream)
+                    for stream in np.random.default_rng(seed).spawn(8)
+                ]
+                here = [single_run(shared, crit, tol, s) for s in np.random.default_rng(seed).spawn(8)]
+                raced = louvain_module._race(shared, crit, tol, np.random.default_rng(seed).spawn(8))
+                for runs in (here, raced):
+                    assert [trace for _, trace in runs] == [trace for _, trace in alone]
+                    for (labels, _), (expected, _) in zip(runs, alone):
+                        npt.assert_array_equal(labels, expected)
+                checked += 1
+        assert shared.escapes
+    assert checked == 2 * (10 + 10 + 1 + 7 * 2 * 2)
+
+
+def test_escape_pass_reuses_its_result(monkeypatch):
+    g = cc.load_karate()
+    crit = cc.indetermination_criterion()
+    tol = louvain_module._check_graph(g, crit)
+    sg = louvain_module._SearchGraph(g)
+    visits = []
+    best_move = louvain_module._best_move
+
+    def counted(*args, **kwargs):
+        visits.append(1)
+        return best_move(*args, **kwargs)
+
+    monkeypatch.setattr(louvain_module, "_best_move", counted)
+    escape = louvain_module._escape_pass
+    labels = np.arange(g.n) % 3
+    first, improved = escape(sg, crit, labels, tol)
+    assert visits and not first.flags.writeable
+    # the same partition under other class ids is not computed again
+    visits.clear()
+    again, improved_again = escape(sg, crit, (labels + 2) % 3 + 7, tol)
+    assert not visits
+    assert again is first and improved_again == improved
+    # another criterion or tolerance is a different pass
+    escape(sg, cc.independence_criterion(), labels, tol)
+    assert visits
+    visits.clear()
+    escape(sg, crit, labels, 2.0 * tol)
+    assert visits
+
+    # an 8-restart race calls the pass more often than it computes one
+    computed = []
+
+    def tallied(*args):
+        before = len(visits)
+        result = escape(*args)
+        computed.append(len(visits) > before)
+        return result
+
+    monkeypatch.setattr(louvain_module, "_escape_pass", tallied)
+    sg = louvain_module._SearchGraph(g)
+    louvain_module._race(sg, crit, tol, np.random.default_rng(0).spawn(8))
+    assert sum(computed) == len(sg.escapes) < len(computed)
+
+
 # Fixed Gilbert graphs around the stored-entry count from which the restarts
-# race on forked workers: 2248 and 2186 entries, then 1874.
+# race on forked workers: 2248 and 2186 entries, then 1874; and 2200
+# entries on 64 nodes, few enough that the workers run the escape pass.
 RACE_GRAPHS = {
     "above-150": (lambda: cc.gilbert(150, 0.1, rng=1), True),
     "above-300": (lambda: cc.gilbert(300, 0.025, rng=4), True),
     "below-200": (lambda: cc.gilbert(200, 0.05, rng=6), False),
+    "escape-64": (lambda: cc.gilbert(64, 0.55, rng=0), True),
 }
 
 
