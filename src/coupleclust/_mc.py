@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import _as_count
+from .errors import _as_count, _as_generator
 
 __all__ = ["thread_cap", "split_counts", "run_streams"]
 
@@ -56,7 +56,7 @@ def run_streams(
     """Run ``sample(generator, count)`` once per stream of
     :func:`_substreams`, on ``min(streams, thread_cap())`` threads, and
     return the results in stream order."""
-    rng = np.random.default_rng(rng)
+    rng = _as_generator(rng)
     counts = split_counts(total, n_streams)
     gens = _substreams(rng, len(counts))
     workers = min(len(counts), thread_cap())

@@ -134,7 +134,12 @@ def _emit(args, result: dict | str, elapsed_s: float) -> None:
 
 
 def _load_json_file(path: str) -> dict:
-    return json.loads(Path(path).read_text())
+    """The JSON object in ``path``: any other JSON value, a list or a
+    number, say, is rejected with :class:`ValueError`."""
+    data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} must hold a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _read_margins(path: str) -> tuple[Margin, Margin]:

@@ -37,6 +37,7 @@ from .errors import (
     NonFiniteEntry,
     SumNotOne,
     _as_count,
+    _as_generator,
 )
 
 __all__ = [
@@ -69,9 +70,14 @@ CONDITION_H_SLACK = 1e-12
 
 
 def _probabilities(values, ndim: int, what: str, slack: float = 0.0) -> np.ndarray:
-    """``values`` as a float array, checked in this order: nonempty with
-    ``ndim`` dimensions, every entry finite, none below ``-slack``."""
-    arr = np.asarray(values, dtype=float)
+    """``values`` as a float array, checked in this order: readable as
+    floats (a dict or a ragged nest of lists, say, raises
+    :class:`NonFiniteEntry`), nonempty with ``ndim`` dimensions, every entry
+    finite, none below ``-slack``."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise NonFiniteEntry(f"{what} must be finite real numbers: {exc}") from None
     if arr.ndim != ndim or arr.size == 0:
         raise DimensionMismatch(f"{what} must form a nonempty {ndim}-d array")
     if not np.isfinite(arr).all():
@@ -109,7 +115,7 @@ class Margin(Record):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Margin":
-        return validate_margin(np.asarray(data["probs"], dtype=float))
+        return validate_margin(data["probs"])
 
     @classmethod
     def from_json(cls, text: str) -> "Margin":
@@ -209,12 +215,12 @@ class JointDistribution(Record):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "JointDistribution":
-        cells = np.asarray(data["cells"], dtype=float)
-        if cells.shape != (_as_count(data["p"], "p"), _as_count(data["q"], "q")):
+        pi = cls.from_cells(data["cells"])
+        if pi.cells.shape != (_as_count(data["p"], "p"), _as_count(data["q"], "q")):
             raise DimensionMismatch(
-                f"cells shape {cells.shape} does not match p={data['p']}, q={data['q']}"
+                f"cells shape {pi.cells.shape} does not match p={data['p']}, q={data['q']}"
             )
-        return cls.from_cells(cells)
+        return pi
 
     @classmethod
     def from_json(cls, text: str) -> "JointDistribution":
@@ -335,7 +341,7 @@ def sample_dirichlet(p: int, rng: np.random.Generator | int | None = None) -> Ma
     for the flat Dirichlet and trivially seedable.
     """
     p = _as_count(p, "p")
-    rng = np.random.default_rng(rng)
+    rng = _as_generator(rng)
     e = rng.exponential(size=p)
     return Margin(e / e.sum())
 

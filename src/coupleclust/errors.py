@@ -45,7 +45,7 @@ class NegativeEntry(CoupleclustError, ValueError):
 
 class NonFiniteEntry(CoupleclustError, ValueError):
     """A probability vector, joint or weight matrix contains a NaN or an
-    infinite entry."""
+    infinite entry, or one that is not a real number at all."""
 
 
 class SumNotOne(CoupleclustError, ValueError):
@@ -132,6 +132,17 @@ def _as_count(value, name: str, minimum: int = 1) -> int:
     if count is None or count < minimum:
         raise NonPositiveDimension(f"{name} must be an integer >= {minimum}, got {value!r}")
     return count
+
+
+def _as_generator(rng) -> np.random.Generator:
+    """The generator a sampler draws from, given its ``rng`` argument:
+    ``rng`` itself if it is a :class:`numpy.random.Generator`, a freshly
+    seeded one if it is None, else one seeded with ``rng``, which must then
+    be an integer >= 0 by :func:`_as_count` (so a float, a string or a
+    negative number raises :class:`NonPositiveDimension`)."""
+    if rng is None or isinstance(rng, np.random.Generator):
+        return np.random.default_rng(rng)
+    return np.random.default_rng(_as_count(rng, "rng", minimum=0))
 
 
 def _as_tolerance(value, name: str = "tol", allow_zero: bool = True) -> float:

@@ -42,6 +42,7 @@ from .errors import (
     NonFiniteEntry,
     ZeroEps,
     _as_count,
+    _as_generator,
     _as_integers,
 )
 
@@ -250,7 +251,7 @@ def gilbert(
     """
     n = _as_count(n, "n")
     _check_eps(eps)
-    rng = np.random.default_rng(rng)
+    rng = _as_generator(rng)
     return _upper_triangle_graph(n, lambda k: rng.random(k) < eps)
 
 
@@ -270,7 +271,7 @@ def gilbert_weighted(
     """
     n, max_weight = _as_count(n, "n"), _as_count(max_weight, "max_weight")
     _check_eps(eps)
-    rng = np.random.default_rng(rng)
+    rng = _as_generator(rng)
     return _upper_triangle_graph(n, lambda k: rng.binomial(max_weight, eps, size=k))
 
 

@@ -22,14 +22,17 @@ for instance), a move the neighbor-restricted pass never proposes. Several
 such runs with different shuffle streams are raced and the best kept, so
 the returned partition is single-node locally optimal, pairwise-merge
 stable, and never scores below either trivial partition (all singletons
-or all-in-one; a final fallback enforces the latter). On graphs of at most
+or all-in-one; a final fallback enforces the latter). One search object
+per call holds the graph, the criterion and the rounding tolerance derived
+from both; every run, phase and the fallback read it. On graphs of at most
 ``_ESCAPE_CAP`` nodes the polish also runs a Kernighan-Lin-style escape
 pass, O(n**2 * k) for k classes per distinct starting partition per race:
-restarts that polish to the same partition share its result. On a graph
-with at least ``_FORK_MIN_ENTRIES`` stored entries and more than one
-usable CPU, the runs go to forked worker processes; each run stays
-sequential and the results are raced in stream order, so the labels,
-score and trace are identical to those of the in-process loop.
+restarts that polish to the same partition share its result, which the
+search object keeps under the starting labels. On a graph with at least
+``_FORK_MIN_ENTRIES`` stored entries and more than one usable CPU, the
+runs go to forked worker processes, which inherit the search object; each
+run stays sequential and the results are raced in stream order, so the
+labels, score and trace are identical to those of the in-process loop.
 :func:`exhaustive_best_partition` scores every partition, Bell-number
 many, so it is capped at 10 nodes, and is the oracle the heuristic is
 measured against. It extends the scores of the partitions of the first
@@ -300,27 +303,32 @@ def global_score(
 
 
 class _SearchGraph:
-    """The original graph as the search reads it.
+    """One :func:`louvain` call's graph under one criterion, as the search
+    reads it.
 
-    Built once per :func:`louvain` call and shared by every restart, level
-    and the fallback: the stored entries as flat arrays for scoring, and the
-    singleton level's lists for the move phases. None of these is ever
+    Built once per call and shared by every restart, level and the
+    fallback: the criterion, the rounding tolerance ``tol`` that
+    :func:`_check_graph` derives here (so a graph the criterion cannot
+    score raises here), the stored entries as flat arrays for scoring, and
+    the singleton level's lists for the move phases. None of these is ever
     mutated; the one exception is ``escapes``, the results of
-    :func:`_escape_pass` keyed by ``(criterion, tol, starting labels)``,
-    which fills as the restarts run (each forked worker fills its own copy).
+    :func:`_escape_pass` keyed by the canonical starting labels, which
+    fills as the restarts run (each forked worker fills its own copy).
     """
 
-    __slots__ = ("g", "entries", "adj", "deg", "size", "escapes")
+    __slots__ = ("g", "criterion", "tol", "entries", "adj", "deg", "size", "escapes")
 
-    def __init__(self, g: WeightedGraph):
+    def __init__(self, g: WeightedGraph, criterion: LocalCriterion):
+        self.tol = _check_graph(g, criterion)
         self.g = g
+        self.criterion = criterion
         self.entries = _stored_entries(g)
         lone = _Level.of_classes(self, np.arange(g.n))
         self.adj, self.deg, self.size = lone.adj, lone.deg, lone.size
-        self.escapes: dict[tuple, tuple[np.ndarray, bool]] = {}
+        self.escapes: dict[bytes, tuple[np.ndarray, bool]] = {}
 
-    def score(self, criterion: LocalCriterion, labels) -> float:
-        return _score_labels(self.g, criterion, labels, self.entries)
+    def score(self, labels) -> float:
+        return _score_labels(self.g, self.criterion, labels, self.entries)
 
     def class_totals(self, labels: np.ndarray) -> tuple[list[float], list[float]]:
         """Degree mass and size of each class of canonical ``labels``."""
@@ -489,10 +497,8 @@ def _move(level: _Level, node: int, dst: int) -> int:
 
 def _run_passes(
     sg: _SearchGraph,
-    criterion: LocalCriterion,
     level: _Level,
     node_map: np.ndarray,
-    tol: float,
     rng: np.random.Generator | None,
     trace: list[float],
     polish: bool = False,
@@ -501,7 +507,7 @@ def _run_passes(
     of Traag, Waltman & van Eck, Sci. Rep. 9, 5233, 2019).
 
     Every node is queued once, in shuffled order (index order if ``rng`` is
-    None). A visited node moves if its best gain exceeds ``tol``; a move
+    None). A visited node moves if its best gain exceeds ``sg.tol``; a move
     queues the node's neighbours that are neither queued nor in its new
     class, whose class weights it changed. The phase ends when the queue is
     empty or after ``_MAX_SWEEPS * m`` visits (``m`` nodes at this level),
@@ -518,7 +524,8 @@ def _run_passes(
     """
     m = len(level.adj)
     g = sg.g
-    block = criterion.block_evaluator
+    block = sg.criterion.block_evaluator
+    tol = sg.tol
     labels = level.labels
     cls_size = level.cls_size
     queue = deque(range(m) if rng is None else rng.permutation(m).tolist())
@@ -545,7 +552,7 @@ def _run_passes(
                     queued[j] = True
                     queue.append(j)
     if moves:
-        trace.append(sg.score(criterion, np.asarray(labels)[node_map]))
+        trace.append(sg.score(np.asarray(labels)[node_map]))
     return moves
 
 
@@ -560,12 +567,7 @@ _MAX_SWEEPS = 100
 _ESCAPE_CAP = 128
 
 
-def _escape_pass(
-    sg: _SearchGraph,
-    criterion: LocalCriterion,
-    labels: np.ndarray,
-    tol: float,
-) -> tuple[np.ndarray, bool]:
+def _escape_pass(sg: _SearchGraph, labels: np.ndarray) -> tuple[np.ndarray, bool]:
     """One sequence of forced best moves, keeping the best prefix.
 
     Plateaus where only a coordinated group of moves gains are invisible to
@@ -577,19 +579,21 @@ def _escape_pass(
     score.
 
     A pass costs O(n**2 * k) for k classes, but only once per distinct
-    starting partition per race: the result is a function of the criterion,
-    ``tol`` and the canonical starting labels, and is kept in
-    ``sg.escapes``, so restarts that polish to the same partition share it.
+    starting partition per race: ``sg`` fixes the criterion and ``tol``, so
+    the result is a function of the canonical starting labels alone, and is
+    kept in ``sg.escapes`` under them, so restarts that polish to the same
+    partition share it.
     """
     start = _canonical(labels)
-    key = (criterion, tol, start.tobytes())
+    key = start.tobytes()
     if key in sg.escapes:
         return sg.escapes[key]
     level = _Level.from_partition(sg, start)
     cls_size = level.cls_size
     n = sg.g.n
     two_m = sg.g.total_weight_2m
-    block = criterion.block_evaluator
+    block = sg.criterion.block_evaluator
+    tol = sg.tol
     locked = [False] * n
     applied: list[tuple[int, int, int]] = []
     cum = 0.0
@@ -629,9 +633,7 @@ def _escape_pass(
 
 def _polish(
     sg: _SearchGraph,
-    criterion: LocalCriterion,
     labels: np.ndarray,
-    tol: float,
     rng: np.random.Generator,
     trace: list[float],
 ) -> np.ndarray:
@@ -642,46 +644,41 @@ def _polish(
     visited in index order (no draw from ``rng``), so its moves are merges,
     adjacent or not. Both are polish phases: a visit may scan all k
     classes, O(k), and when neither phase moves anything, no whole-class
-    merge and no single-node move gains more than ``tol``.
+    merge and no single-node move gains more than ``sg.tol``.
     """
     identity = np.arange(sg.g.n)
     while True:
         node_map = _canonical(labels)
         classes = _Level.of_classes(sg, node_map)
-        merges = _run_passes(sg, criterion, classes, node_map, tol, None, trace, True)
+        merges = _run_passes(sg, classes, node_map, None, trace, True)
         labels = _canonical(np.asarray(classes.labels)[node_map])
         refine = _Level.from_partition(sg, labels)
-        moves = _run_passes(sg, criterion, refine, identity, tol, rng, trace, True)
+        moves = _run_passes(sg, refine, identity, rng, trace, True)
         labels = np.asarray(refine.labels)
         if merges == 0 and moves == 0:
             if sg.g.n <= _ESCAPE_CAP:
-                labels, improved = _escape_pass(sg, criterion, labels, tol)
+                labels, improved = _escape_pass(sg, labels)
                 if improved:
-                    trace.append(sg.score(criterion, labels))
+                    trace.append(sg.score(labels))
                     continue
             return labels
 
 
-def _single_run(
-    sg: _SearchGraph,
-    criterion: LocalCriterion,
-    tol: float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, list[float]]:
+def _single_run(sg: _SearchGraph, rng: np.random.Generator) -> tuple[np.ndarray, list[float]]:
     """One full search: level loop, then :func:`_polish`. Each level is the
     class graph of the last, built from the original entries."""
     level = _Level(sg.adj, sg.deg, sg.size)
     node_map = np.arange(sg.g.n)
-    trace = [sg.score(criterion, node_map)]
+    trace = [sg.score(node_map)]
 
     while True:
-        _run_passes(sg, criterion, level, node_map, tol, rng, trace)
+        _run_passes(sg, level, node_map, rng, trace)
         labels = _canonical(np.asarray(level.labels)[node_map])
         if labels.max() + 1 == len(level.adj):
             break
         node_map = labels
         level = _Level.of_classes(sg, node_map)
-    return _polish(sg, criterion, labels, tol, rng, trace), trace
+    return _polish(sg, labels, rng, trace), trace
 
 
 # Stored entries from which the restarts of a race run on forked workers.
@@ -690,16 +687,16 @@ def _single_run(
 # every graph measured (crossover table in CHANGES.md).
 _FORK_MIN_ENTRIES = 2048
 
-# What the forked workers of a race read: ``(sg, criterion, tol, streams)``,
-# set just before the fork so that nothing but stream indices and results
-# is pickled, and cleared after it. Only a process with a single thread
+# What the forked workers of a race read: ``(sg, streams)``, set just
+# before the fork so that nothing but stream indices and results is
+# pickled, and cleared after it. Only a process with a single thread
 # forks, so no other caller can see it set.
 _race_state: tuple | None = None
 
 
 def _forked_run(i: int) -> tuple[np.ndarray, list[float]]:
-    sg, criterion, tol, streams = _race_state
-    return _single_run(sg, criterion, tol, streams[i])
+    sg, streams = _race_state
+    return _single_run(sg, streams[i])
 
 
 def _can_fork(sg: _SearchGraph, workers: int) -> bool:
@@ -715,18 +712,16 @@ def _can_fork(sg: _SearchGraph, workers: int) -> bool:
 
 
 def _race(
-    sg: _SearchGraph,
-    criterion: LocalCriterion,
-    tol: float,
-    streams: list[np.random.Generator],
+    sg: _SearchGraph, streams: list[np.random.Generator]
 ) -> list[tuple[np.ndarray, list[float]]]:
     """One :func:`_single_run` per stream, returned in stream order.
 
     The runs go to ``min(len(streams), thread_cap())`` forked worker
     processes when :func:`_can_fork` allows, else they run here one after
-    another. Forked, not spawned: a worker inherits the search graph
-    instead of importing the package and unpickling it. A run is the same
-    deterministic computation either way, so the results are identical
+    another. Forked, not spawned: a worker inherits ``sg``, the graph with
+    its criterion and ``tol``, through ``_race_state`` instead of importing
+    the package and unpickling it. A run is the same deterministic
+    computation either way, so the results are identical
     (each worker fills its own copy of the escape cache, whose entries
     change no result). The streams are not advanced here when the runs
     are forked, so a caller must not draw from them afterwards; with one
@@ -736,13 +731,13 @@ def _race(
     """
     workers = min(len(streams), thread_cap())
     if not _can_fork(sg, workers):
-        return [_single_run(sg, criterion, tol, stream) for stream in streams]
+        return [_single_run(sg, stream) for stream in streams]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     global _race_state
-    _race_state = (sg, criterion, tol, streams)
+    _race_state = (sg, streams)
     try:
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, mp_context=fork) as pool:
@@ -766,16 +761,18 @@ def louvain(
     ``tol = 1e-12 * |block(2M, 0, 0, 0, 0, n, 2M)|``, the criterion's value
     of all the weight with no null subtracted (1e-12 under independence,
     1e-12 * 2M under indetermination), so the labels do not depend on the
-    weight unit. Runs ``cfg.restarts`` independent searches (deterministic
-    substreams of ``cfg.seed``) and keeps the first whose final score is
-    within ``tol`` of the best, the tie rule of
-    :func:`exhaustive_best_partition`. The returned partition is single-node
-    locally optimal at the original resolution (no one-node move can raise
-    the score by more than ``tol``), stable under whole-class pairwise
-    merges (none gains more than ``tol``), and scores at least as well as
-    both trivial partitions (all singletons and all-in-one). The trace
-    records the winning run's global score before any move and after every
-    phase that changed something; it is non-decreasing.
+    weight unit; it is derived once per call, as the search object is
+    built, by the checks that raise below. Runs ``cfg.restarts``
+    independent searches (deterministic substreams of ``cfg.seed``) and
+    keeps the first whose final score is within ``tol`` of the best, the tie
+    rule of :func:`exhaustive_best_partition`. The returned partition is
+    single-node locally optimal at the original resolution (no one-node
+    move can raise the score by more than ``tol``), stable under
+    whole-class pairwise merges (none gains more than ``tol``), and scores
+    at least as well as both trivial partitions (all singletons and
+    all-in-one). The trace records the winning run's global score before
+    any move and after every phase that changed something; it is
+    non-decreasing.
 
     With two or more restarts, a graph of at least ``_FORK_MIN_ENTRIES``
     stored entries, more than one usable CPU, the ``fork`` start method and
@@ -789,19 +786,20 @@ def louvain(
     EmptyGraph
         If the graph has no nodes, or has zero total weight under the
         independence criterion.
+    NonFiniteEntry
+        If the weights are so large that the criterion overflows.
     MemoryError
         If a restart worker process dies without a Python exception, most
         likely killed for lack of memory.
     """
     cfg = cfg if cfg is not None else LouvainConfig()
-    tol = _check_graph(g, criterion)
-    sg = _SearchGraph(g)
+    sg = _SearchGraph(g, criterion)
     master = np.random.default_rng(cfg.seed)
     streams = _substreams(master, cfg.restarts)
 
-    runs = _race(sg, criterion, tol, streams)
+    runs = _race(sg, streams)
     top = max(run_trace[-1] for _, run_trace in runs)
-    labels, trace = next(run for run in runs if run[1][-1] >= top - tol)
+    labels, trace = next(run for run in runs if run[1][-1] >= top - sg.tol)
     score = trace[-1]
 
     # The single-class partition scores exactly 0. It exceeds the winner's
@@ -811,10 +809,10 @@ def louvain(
     # not within tol: it enforces the exact floor of 0, and the fallback is
     # polished to the same guarantees.
     all_in_one = np.zeros(g.n, dtype=np.int64)
-    score_one = sg.score(criterion, all_in_one)
+    score_one = sg.score(all_in_one)
     if score_one > score:
         trace.append(score_one)
-        labels = _polish(sg, criterion, all_in_one, tol, master, trace)
+        labels = _polish(sg, all_in_one, master, trace)
         score = trace[-1]
 
     part = Partition.from_labels(labels)

@@ -28,6 +28,7 @@ from .errors import (
     NegativeEntry,
     NotEquivalenceRelation,
     _as_count,
+    _as_generator,
 )
 
 __all__ = [
@@ -236,7 +237,7 @@ def sample_agreement_counts(
     :func:`expected_agreement_terms`.
     """
     n_pairs = _as_count(n_pairs, "n_pairs")
-    rng = np.random.default_rng(rng)
+    rng = _as_generator(rng)
     flat = pi.cells.ravel()
     draws = rng.choice(flat.size, size=(2, n_pairs), p=flat)
     u, v = np.divmod(draws, pi.q)

@@ -260,6 +260,23 @@ def test_bias_hist_needs_a_node_pair(capsys, extra):
     assert json.loads(err)["error"] == "NonPositiveDimension"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["delta", "2", "2", "--samples", "10"],
+        ["gilbert", "5", "0.3"],
+        ["bias-hist", "5", "0.3", "--samples", "10"],
+        ["cluster", "--karate"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_is_one_error_in_every_command(capsys, argv):
+    code, out, err = run_cli(capsys, argv + ["--seed", "-1"])
+    assert code == 1
+    assert out == ""
+    assert_single_json_error(err, "NonPositiveDimension")
+
+
 def test_gilbert_deterministic_per_seed(capsys):
     args = ["gilbert", "12", "0.5", "--seed", "3"]
     _, first, _ = run_cli(capsys, args)
@@ -409,6 +426,27 @@ def test_couple_incomplete_margins_file(capsys, tmp_path):
     assert_single_json_error(err, "ValueError")
 
 
+@pytest.mark.parametrize(
+    "command, data, error",
+    [
+        ("couple", 5, "ValueError"),
+        ("monge-check", [1, 2], "ValueError"),
+        ("condorcet-check", [1, 2], "ValueError"),
+        ("couple", {"mu": {"a": 1}, "nu": [1.0]}, "NonFiniteEntry"),
+        ("monge-check", {"p": 1, "q": 1, "cells": {"a": 1}}, "NonFiniteEntry"),
+    ],
+)
+def test_json_input_of_the_wrong_shape_reports_error(capsys, tmp_path, command, data, error):
+    # a file that is not a JSON object, or whose arrays hold something other
+    # than numbers, fails with one JSON line, not a traceback
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, [command, str(path)])
+    assert code == 1
+    assert out == ""
+    assert_single_json_error(err, error)
+
+
 def test_missing_input_file_reports_oserror(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["couple", str(tmp_path / "absent.json")])
     assert code == 1
@@ -454,7 +492,7 @@ def test_cluster_dead_restart_worker_reports_memory_error(capsys, monkeypatch, t
     # kills) fails like any other error and leaves no child process.
     louvain_module = sys.modules["coupleclust.louvain"]
     g = coupleclust.gilbert(150, 0.1, rng=1)
-    sg = louvain_module._SearchGraph(g)
+    sg = louvain_module._SearchGraph(g, coupleclust.independence_criterion())
     if not louvain_module._can_fork(sg, min(8, _mc.thread_cap())):
         pytest.skip("restarts race in-process here")
     parent = os.getpid()

@@ -1,7 +1,8 @@
 """Input rules, each written once in ``coupleclust.errors`` and applied where
-input enters: counts are integers at or above a minimum, tolerances are
-finite and nonnegative, class labels are integers, and records keep
-read-only copies of the arrays they are given."""
+input enters: counts are integers at or above a minimum, seeds are
+generators, None or integers at least 0, tolerances are finite and
+nonnegative, class labels are integers, and records keep read-only copies
+of the arrays they are given."""
 
 import dataclasses
 import inspect
@@ -158,6 +159,35 @@ def test_eps_is_a_real_number_in_the_unit_interval(func, kwargs):
     for bad in ("0.3", None, float("nan"), float("inf"), -0.1, 1.5):
         with pytest.raises(ValueError, match="^eps must be a real number in"):
             func(**{**kwargs, "eps": bad})
+
+
+# Every public sampler, from the count table's valid calls (less its eps = 0
+# row, a second call of empirical_bias_histogram).
+SEED_ROWS = [
+    (f, kwargs) for f, kwargs, _ in COUNTS if "rng" in kwargs and kwargs.get("eps") != 0.0
+]
+
+
+@pytest.mark.parametrize(
+    "func, kwargs", SEED_ROWS, ids=[f.__qualname__ for f, _ in SEED_ROWS]
+)
+def test_seeds_are_generators_or_integers_at_least_zero(func, kwargs):
+    # None (fresh entropy) is valid here, unlike for a count
+    for good in (None, np.int64(3), np.random.default_rng(3)):
+        func(**{**kwargs, "rng": good})
+    for bad in (-1, 2.5, "3"):
+        with pytest.raises(cc.NonPositiveDimension, match="^rng must be an integer >= 0"):
+            func(**{**kwargs, "rng": bad})
+
+
+def test_every_public_seed_parameter_has_a_row():
+    covered = {f for f, _ in SEED_ROWS}
+    missing = sorted(
+        getattr(f, "__qualname__", str(f))
+        for f, params in _public_callables()
+        if "rng" in params and f not in covered
+    )
+    assert not missing, f"rng parameters without a rejection row: {missing}"
 
 
 @pytest.mark.parametrize("make", [cc.Partition, cc.Partition.from_labels])

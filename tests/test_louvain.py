@@ -557,10 +557,9 @@ def test_best_move_matches_block_formula_reference(criterion):
 def in_process_runs(g, crit, cfg):
     """Every restart of ``louvain(g, crit, cfg)`` run here, one after
     another, in stream order; and the search tolerance."""
-    sg = louvain_module._SearchGraph(g)
-    tol = louvain_module._check_graph(g, crit)
+    sg = louvain_module._SearchGraph(g, crit)
     streams = np.random.default_rng(cfg.seed).spawn(cfg.restarts)
-    return [louvain_module._single_run(sg, crit, tol, stream) for stream in streams], tol
+    return [louvain_module._single_run(sg, stream) for stream in streams], sg.tol
 
 
 def race_winner(runs, tol):
@@ -626,35 +625,34 @@ def escape_pool():
 def test_escape_cache_changes_nothing():
     # The reference runs every restart on a search graph of its own, so no
     # escape result is shared. The same streams then run on one search
-    # graph shared by all restarts, seeds and both criteria, one after
+    # graph per criterion, shared by all restarts and seeds, one after
     # another and raced; labels and traces must not change.
+    search_graph = louvain_module._SearchGraph
     single_run = louvain_module._single_run
     checked = 0
     for g, seeds in escape_pool():
-        shared = louvain_module._SearchGraph(g)
         for crit in CRITERIA:
-            tol = louvain_module._check_graph(g, crit)
+            shared = search_graph(g, crit)
             for seed in seeds:
                 alone = [
-                    single_run(louvain_module._SearchGraph(g), crit, tol, stream)
+                    single_run(search_graph(g, crit), stream)
                     for stream in np.random.default_rng(seed).spawn(8)
                 ]
-                here = [single_run(shared, crit, tol, s) for s in np.random.default_rng(seed).spawn(8)]
-                raced = louvain_module._race(shared, crit, tol, np.random.default_rng(seed).spawn(8))
+                here = [single_run(shared, s) for s in np.random.default_rng(seed).spawn(8)]
+                raced = louvain_module._race(shared, np.random.default_rng(seed).spawn(8))
                 for runs in (here, raced):
                     assert [trace for _, trace in runs] == [trace for _, trace in alone]
                     for (labels, _), (expected, _) in zip(runs, alone):
                         npt.assert_array_equal(labels, expected)
                 checked += 1
-        assert shared.escapes
+            assert shared.escapes
     assert checked == 2 * (10 + 10 + 1 + 7 * 2 * 2)
 
 
 def test_escape_pass_reuses_its_result(monkeypatch):
     g = cc.load_karate()
     crit = cc.indetermination_criterion()
-    tol = louvain_module._check_graph(g, crit)
-    sg = louvain_module._SearchGraph(g)
+    sg = louvain_module._SearchGraph(g, crit)
     visits = []
     best_move = louvain_module._best_move
 
@@ -665,19 +663,19 @@ def test_escape_pass_reuses_its_result(monkeypatch):
     monkeypatch.setattr(louvain_module, "_best_move", counted)
     escape = louvain_module._escape_pass
     labels = np.arange(g.n) % 3
-    first, improved = escape(sg, crit, labels, tol)
+    first, improved = escape(sg, labels)
     assert visits and not first.flags.writeable
-    # the same partition under other class ids is not computed again
+    # the same partition under other class ids is not computed again: the
+    # key is the canonical starting labels alone
     visits.clear()
-    again, improved_again = escape(sg, crit, (labels + 2) % 3 + 7, tol)
+    again, improved_again = escape(sg, (labels + 2) % 3 + 7)
     assert not visits
     assert again is first and improved_again == improved
-    # another criterion or tolerance is a different pass
-    escape(sg, cc.independence_criterion(), labels, tol)
-    assert visits
-    visits.clear()
-    escape(sg, crit, labels, 2.0 * tol)
-    assert visits
+    assert list(sg.escapes) == [louvain_module._canonical(labels).tobytes()]
+    # a search graph built for the other criterion computes its own pass
+    other = louvain_module._SearchGraph(g, cc.independence_criterion())
+    escape(other, labels)
+    assert visits and len(other.escapes) == len(sg.escapes) == 1
 
     # an 8-restart race calls the pass more often than it computes one
     computed = []
@@ -689,8 +687,8 @@ def test_escape_pass_reuses_its_result(monkeypatch):
         return result
 
     monkeypatch.setattr(louvain_module, "_escape_pass", tallied)
-    sg = louvain_module._SearchGraph(g)
-    louvain_module._race(sg, crit, tol, np.random.default_rng(0).spawn(8))
+    sg = louvain_module._SearchGraph(g, crit)
+    louvain_module._race(sg, np.random.default_rng(0).spawn(8))
     assert sum(computed) == len(sg.escapes) < len(computed)
 
 
@@ -709,7 +707,8 @@ def forks(g, restarts: int) -> bool:
     """Whether ``louvain`` races ``restarts`` restarts on ``g`` on forked
     workers here: the graph is big enough and the host can."""
     workers = min(restarts, _mc.thread_cap())
-    return louvain_module._can_fork(louvain_module._SearchGraph(g), workers)
+    sg = louvain_module._SearchGraph(g, cc.independence_criterion())
+    return louvain_module._can_fork(sg, workers)
 
 
 @pytest.fixture
@@ -732,14 +731,14 @@ def test_forked_race_equals_in_process_race(graph, runs_here):
     build, above = RACE_GRAPHS[graph]
     g = build()
     assert (g.weights.nnz >= louvain_module._FORK_MIN_ENTRIES) == above
-    sg = louvain_module._SearchGraph(g)
     for crit in CRITERIA:
+        sg = louvain_module._SearchGraph(g, crit)
         for seed in range(5):
             cfg = cc.LouvainConfig(seed=seed, restarts=3)
             runs, tol = in_process_runs(g, crit, cfg)
             # every run, not just the winner, comes back in stream order
             streams = np.random.default_rng(seed).spawn(cfg.restarts)
-            raced = louvain_module._race(sg, crit, tol, streams)
+            raced = louvain_module._race(sg, streams)
             assert [trace for _, trace in raced] == [trace for _, trace in runs]
             for (labels, _), (expected, _) in zip(raced, runs):
                 npt.assert_array_equal(labels, expected)
@@ -753,9 +752,8 @@ def test_single_restart_runs_in_process(runs_here):
     # single restart never forks, however big the graph
     g = RACE_GRAPHS["above-150"][0]()
     for crit in CRITERIA:
-        sg = louvain_module._SearchGraph(g)
-        tol = louvain_module._check_graph(g, crit)
-        labels, trace = louvain_module._single_run(sg, crit, tol, np.random.default_rng(3))
+        sg = louvain_module._SearchGraph(g, crit)
+        labels, trace = louvain_module._single_run(sg, np.random.default_rng(3))
         runs_here.clear()
         assert_result_is_run(cc.louvain(g, crit, cc.LouvainConfig(seed=3, restarts=1)), labels, trace)
         assert len(runs_here) == 1

@@ -150,7 +150,9 @@ def test_class_graph_matches_pair_loop(case):
         for j, e in enumerate(labels):
             if a[i, j] and c != e:
                 adj[c][e] = adj[c].get(e, 0.0) + a[i, j]
-    level = _Level.of_classes(_SearchGraph(g), part.labels)
+    # the level builder reads no criterion; indetermination, unlike
+    # independence, also accepts the edgeless graphs drawn
+    level = _Level.of_classes(_SearchGraph(g, cc.indetermination_criterion()), part.labels)
     assert level.labels == list(range(part.k))
     assert (level.deg, level.size) == (deg, size)
     assert [sorted(row) for row in level.adj] == [sorted(row) for row in adj]
