@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -70,14 +71,22 @@ CONDITION_H_SLACK = 1e-12
 
 
 def _probabilities(values, ndim: int, what: str, slack: float = 0.0) -> np.ndarray:
-    """``values`` as a float array, checked in this order: readable as
-    floats (a dict or a ragged nest of lists, say, raises
-    :class:`NonFiniteEntry`), nonempty with ``ndim`` dimensions, every entry
-    finite, none below ``-slack``."""
+    """``values`` as a float array, checked in this order: numbers only, a
+    numeric numpy array or a nest of Python or numpy reals (strings, bools,
+    a dict or a ragged nest of lists, say, raise :class:`NonFiniteEntry`),
+    nonempty with ``ndim`` dimensions, every entry finite, none below
+    ``-slack``."""
     try:
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise NonFiniteEntry(f"{what} must be finite real numbers: {exc}") from None
+        arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    except ValueError:  # a nest of arrays numpy cannot shape: not numbers
+        arr = np.array(None, dtype=object)
+    numeric = arr.dtype.kind in "iuf" or (
+        arr.dtype.kind == "O"
+        and all(isinstance(x, Real) and not isinstance(x, bool) for x in arr.flat)
+    )
+    if not numeric:
+        raise NonFiniteEntry(f"{what} must be finite real numbers, got {values!r:.80}")
+    arr = arr.astype(float, copy=False)
     if arr.ndim != ndim or arr.size == 0:
         raise DimensionMismatch(f"{what} must form a nonempty {ndim}-d array")
     if not np.isfinite(arr).all():
@@ -105,7 +114,8 @@ class Margin(Record):
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = _probabilities(self._own("probs"), 1, "margin entries")
+        _probabilities(self.probs, 1, "margin entries")
+        probs = self._own("probs")
         if abs(float(probs.sum()) - 1.0) > MARGIN_EQ_TOL:
             raise SumNotOne(f"margin sums to {float(probs.sum())!r}, expected 1")
 
@@ -177,7 +187,8 @@ class JointDistribution(Record):
     col_margin: Margin
 
     def __post_init__(self):
-        cells = _probabilities(self._own("cells"), 2, "joint cells")
+        _probabilities(self.cells, 2, "joint cells")
+        cells = self._own("cells")
         rows = cells.sum(axis=1)
         cols = cells.sum(axis=0)
         if (
@@ -215,6 +226,9 @@ class JointDistribution(Record):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "JointDistribution":
+        missing = [key for key in ("p", "q", "cells") if key not in data]
+        if missing:
+            raise ValueError(f"joint must contain 'p', 'q' and 'cells'; missing {missing}")
         pi = cls.from_cells(data["cells"])
         if pi.cells.shape != (_as_count(data["p"], "p"), _as_count(data["q"], "q")):
             raise DimensionMismatch(

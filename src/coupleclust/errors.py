@@ -123,10 +123,11 @@ class EdgeListParseError(CoupleclustError, ValueError):
 def _as_count(value, name: str, minimum: int = 1) -> int:
     """``value`` as a Python int, if it is an integer of at least
     ``minimum``: a Python or numpy integer, as :func:`operator.index`
-    accepts, not a float such as 3.0. Otherwise
+    accepts, not a float such as 3.0 and not a bool (which
+    :func:`operator.index` reads as 0 or 1). Otherwise
     :class:`NonPositiveDimension` naming the parameter."""
     try:
-        count = operator.index(value)
+        count = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         count = None
     if count is None or count < minimum:

@@ -434,11 +434,16 @@ def test_couple_incomplete_margins_file(capsys, tmp_path):
         ("condorcet-check", [1, 2], "ValueError"),
         ("couple", {"mu": {"a": 1}, "nu": [1.0]}, "NonFiniteEntry"),
         ("monge-check", {"p": 1, "q": 1, "cells": {"a": 1}}, "NonFiniteEntry"),
+        ("monge-check", {"cells": [[1.0]]}, "ValueError"),
+        ("monge-check", {"p": True, "q": 1, "cells": [[1.0]]}, "NonPositiveDimension"),
+        ("couple", {"mu": ["0.5", "0.5"], "nu": [" 1e0 "]}, "NonFiniteEntry"),
+        ("couple", {"mu": [True, False], "nu": [1.0]}, "NonFiniteEntry"),
     ],
 )
 def test_json_input_of_the_wrong_shape_reports_error(capsys, tmp_path, command, data, error):
-    # a file that is not a JSON object, or whose arrays hold something other
-    # than numbers, fails with one JSON line, not a traceback
+    # a file that is not a JSON object, lacks a key, or whose arrays or
+    # counts hold something other than numbers (strings, bools) fails with
+    # one JSON line, not a traceback
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
     code, out, err = run_cli(capsys, [command, str(path)])

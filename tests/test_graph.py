@@ -9,6 +9,7 @@ from scipy import sparse
 from scipy.stats import binom, chisquare
 
 import coupleclust as cc
+from coupleclust.graph import _binomial_pmf
 
 
 def star3() -> cc.WeightedGraph:
@@ -406,6 +407,25 @@ def test_theoretical_pmf_sums_to_one():
         cc.theoretical_joint_pmf(5, 0.0)
     with pytest.raises(cc.NonPositiveDimension):
         cc.theoretical_joint_pmf(0, 0.5)
+
+
+KERNEL_P = (1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.999, 1.0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 15, 16, 36, 81, 500, 1999, 100000])
+def test_binomial_kernel_matches_scipy(n):
+    # both sides of the stirlerr table (x <= 15), the bd0 series and its
+    # closed form, the end terms, the point masses and k outside 0..n
+    k = np.arange(-1, n + 2)
+    for p in KERNEL_P:
+        ours = _binomial_pmf(k, n, p)
+        reference = binom.pmf(k, n, p)
+        big = reference >= 1e-280
+        rel = np.abs(ours[big] - reference[big]) / reference[big]
+        assert rel.max() <= 1e-11, (p, k[big][rel.argmax()], rel.max())
+        assert np.all((ours[~big] >= 0.0) & (ours[~big] <= 1e-280)), p
+        assert np.all(ours[(k < 0) | (k > n)] == 0.0), p
+        assert abs(ours.sum() - 1.0) <= 1e-12, p
 
 
 def test_theoretical_pmf_n2_values():

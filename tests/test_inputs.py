@@ -83,7 +83,8 @@ COUNT_NAMES = {
 def test_counts_are_integers_at_or_above_their_minimum(func, kwargs, name, low):
     func(**kwargs)
     func(**{**kwargs, name: np.int64(kwargs[name])})
-    for bad in (2.5, float(kwargs[name]), "3", None, low - 1):
+    # a bool is not a count, though operator.index reads True as 1
+    for bad in (2.5, float(kwargs[name]), "3", None, True, low - 1):
         with pytest.raises(cc.NonPositiveDimension, match=f"^{name} must be an integer"):
             func(**{**kwargs, name: bad})
 
@@ -175,7 +176,7 @@ def test_seeds_are_generators_or_integers_at_least_zero(func, kwargs):
     # None (fresh entropy) is valid here, unlike for a count
     for good in (None, np.int64(3), np.random.default_rng(3)):
         func(**{**kwargs, "rng": good})
-    for bad in (-1, 2.5, "3"):
+    for bad in (-1, 2.5, "3", True):
         with pytest.raises(cc.NonPositiveDimension, match="^rng must be an integer >= 0"):
             func(**{**kwargs, "rng": bad})
 

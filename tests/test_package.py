@@ -1,6 +1,7 @@
 """The package surface: every public name of every submodule, exported once,
 and what importing the package loads."""
 
+import ast
 import importlib
 import json
 import os
@@ -66,19 +67,26 @@ steps = ["scipy.stats" in sys.modules]
 code = coupleclust.cli.main(["cluster", "--karate", "--out", sys.argv[1]])
 steps.append("scipy.stats" in sys.modules)
 times, plus = coupleclust.theoretical_bias_histograms(50, 0.3)
-print(json.dumps({"code": code, "loaded": steps, "counts": [times.counts.tolist(), plus.counts.tolist()]}))
+diff = coupleclust.theoretical_bias_difference_distribution(50, 0.3)
+mass = coupleclust.theoretical_joint_pmf(50, 0.3)
+hist_code = coupleclust.cli.main(["bias-hist", "50", "0.3", "--theoretical", "--out", sys.argv[2]])
+steps.append("scipy.stats" in sys.modules)
+counts = [h.counts.tolist() for h in (times, plus, diff)]
+print(json.dumps({"codes": [code, hist_code], "loaded": steps, "counts": counts, "mass": mass.sum()}))
 """
 
 
 def test_clustering_does_not_import_scipy_stats(tmp_path):
-    """A fresh process imports the package and clusters karate without
-    loading ``scipy.stats``, which only the exact bias laws use; this
-    process already has it, so only a new interpreter can tell. The laws
-    then load it on demand and give the same counts as here."""
+    """A fresh process imports the package, clusters karate, and computes
+    both exact bias laws, the joint degree law and a theoretical
+    ``bias-hist`` without loading ``scipy.stats``: the binomial masses come
+    from the package's own kernel. This process already has the module (the
+    tests use it as a reference), so only a new interpreter can tell. The
+    laws give the same counts there as here."""
     src = str(Path(cc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-c", GUARD, str(tmp_path / "labels.json")],
+        [sys.executable, "-c", GUARD, str(tmp_path / "labels.json"), str(tmp_path / "hist.csv")],
         capture_output=True,
         text=True,
         env=env,
@@ -86,8 +94,35 @@ def test_clustering_does_not_import_scipy_stats(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
-    assert report["code"] == 0
-    assert report["loaded"] == [False, False]
-    assert (tmp_path / "labels.json").exists()
+    assert report["codes"] == [0, 0]
+    assert report["loaded"] == [False, False, False]
+    assert (tmp_path / "labels.json").exists() and (tmp_path / "hist.csv").exists()
+    assert abs(report["mass"] - 1.0) <= 1e-12
     times, plus = cc.theoretical_bias_histograms(50, 0.3)
-    assert report["counts"] == [times.counts.tolist(), plus.counts.tolist()]
+    diff = cc.theoretical_bias_difference_distribution(50, 0.3)
+    assert report["counts"] == [h.counts.tolist() for h in (times, plus, diff)]
+
+
+def _imported_modules(tree: ast.AST):
+    """Every module an ``import`` or ``from ... import`` statement names,
+    counting each name ``from X import name`` takes as a possible
+    submodule ``X.name``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_no_module_imports_scipy_stats():
+    """No statement anywhere in the package imports ``scipy.stats``, so
+    paths the fresh-process guard does not run are covered too."""
+    package = Path(cc.__file__).resolve().parent
+    offenders = sorted(
+        f"{path.relative_to(package)}: {name}"
+        for path in package.rglob("*.py")
+        for name in _imported_modules(ast.parse(path.read_text(), str(path)))
+        if name == "scipy.stats" or name.startswith("scipy.stats.")
+    )
+    assert not offenders, offenders
