@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +38,7 @@ from .errors import (
     SumNotOne,
     _as_count,
     _as_generator,
+    _as_reals,
 )
 
 __all__ = [
@@ -71,22 +71,10 @@ CONDITION_H_SLACK = 1e-12
 
 
 def _probabilities(values, ndim: int, what: str, slack: float = 0.0) -> np.ndarray:
-    """``values`` as a float array, checked in this order: numbers only, a
-    numeric numpy array or a nest of Python or numpy reals (strings, bools,
-    a dict or a ragged nest of lists, say, raise :class:`NonFiniteEntry`),
-    nonempty with ``ndim`` dimensions, every entry finite, none below
-    ``-slack``."""
-    try:
-        arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
-    except ValueError:  # a nest of arrays numpy cannot shape: not numbers
-        arr = np.array(None, dtype=object)
-    numeric = arr.dtype.kind in "iuf" or (
-        arr.dtype.kind == "O"
-        and all(isinstance(x, Real) and not isinstance(x, bool) for x in arr.flat)
-    )
-    if not numeric:
-        raise NonFiniteEntry(f"{what} must be finite real numbers, got {values!r:.80}")
-    arr = arr.astype(float, copy=False)
+    """``values`` as a float array, checked in this order: numbers only, as
+    :func:`~coupleclust.errors._as_reals` rules, nonempty with ``ndim``
+    dimensions, every entry finite, none below ``-slack``."""
+    arr = _as_reals(values, what)
     if arr.ndim != ndim or arr.size == 0:
         raise DimensionMismatch(f"{what} must form a nonempty {ndim}-d array")
     if not np.isfinite(arr).all():

@@ -107,8 +107,9 @@ class EmptyGraph(CoupleclustError, ValueError):
 
 
 class ZeroEps(CoupleclustError, ValueError):
-    """Edge probability eps = 0 leaves the multiplicative bias bound
-    undefined."""
+    """Edge probability eps = 0 leaves the multiplicative bias bound 1/eps
+    undefined; so does an eps so small (below about 5.6e-309) that 1/eps
+    overflows."""
 
 
 class TooLarge(CoupleclustError, ValueError):
@@ -154,6 +155,25 @@ def _as_tolerance(value, name: str = "tol", allow_zero: bool = True) -> float:
         bound = ">=" if allow_zero else ">"
         raise ValueError(f"{name} must be a finite real number {bound} 0, got {value!r}")
     return float(value)
+
+
+def _as_reals(values, what: str) -> np.ndarray:
+    """``values`` as a float array, if it holds real numbers only: a numpy
+    array of integer or float dtype, or a nest of Python or numpy reals.
+    Strings, bools, complex numbers, other objects, a dict or a ragged nest
+    of lists raise :class:`NonFiniteEntry`. Shape and finiteness are the
+    caller's to check."""
+    try:
+        arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    except ValueError:  # a nest of arrays numpy cannot shape: not numbers
+        arr = np.array(None, dtype=object)
+    numeric = arr.dtype.kind in "iuf" or (
+        arr.dtype.kind == "O"
+        and all(isinstance(x, Real) and not isinstance(x, bool) for x in arr.flat)
+    )
+    if not numeric:
+        raise NonFiniteEntry(f"{what} must be finite real numbers, got {values!r:.80}")
+    return arr.astype(float, copy=False)
 
 
 def _as_integers(values, what: str) -> np.ndarray:

@@ -19,19 +19,22 @@ builders for the bias distributions (theoretical and sampled), and the
 
 Each criterion is written once, as its block (class-aggregate) formula
 over node sets I, J; the pair value is that formula on two singletons.
-Every graph is stored as one canonical CSR matrix, whatever its size, so
-criterion evaluation never materializes an n x n criterion matrix.
+Every graph, whatever its size, is stored as canonical CSR in three
+read-only numpy arrays, built and checked in numpy, so criterion evaluation
+never materializes an n x n criterion matrix and no code path but the
+``WeightedGraph.weights`` view loads ``scipy.sparse``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from numbers import Real
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from ._record import Record
 from .errors import (
@@ -44,6 +47,7 @@ from .errors import (
     _as_count,
     _as_generator,
     _as_integers,
+    _as_reals,
 )
 
 __all__ = [
@@ -67,78 +71,136 @@ __all__ = [
 ]
 
 
+def _summed_entries(n: int, rows, cols, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries ``vals`` at ``(rows, cols)`` of an n x n matrix as
+    row-major codes ``i*n + j``, ascending, with their weights: duplicates
+    summed and zeros dropped, then every weight checked finite and
+    nonnegative, in that order."""
+    codes = rows.astype(np.int64) * n + cols
+    order = np.argsort(codes)
+    codes, vals = codes[order], vals[order]
+    if codes.size > 1:
+        first = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+        if first.size < codes.size:
+            codes, vals = codes[first], np.add.reduceat(vals, first)
+    live = vals != 0.0
+    if not live.all():
+        codes, vals = codes[live], vals[live]
+    if not np.isfinite(vals).all():
+        raise NonFiniteEntry("weights must be finite")
+    if vals.size and vals.min() < 0:
+        raise NegativeEntry("weights must be nonnegative")
+    return codes, vals
+
+
 class WeightedGraph:
     """Symmetric nonnegative weight matrix with cached degree data.
 
-    The weights are stored as one read-only canonical CSR matrix: column
-    indices sorted within each row and no explicit zeros, so every stored
-    entry is an edge.
+    The weights are stored as canonical CSR in three read-only numpy
+    arrays: row ``i`` holds the columns ``indices[indptr[i]:indptr[i+1]]``,
+    ascending, with weights ``data`` at the same positions. Duplicate
+    entries are summed and zeros dropped, so every stored entry is an edge.
+    :attr:`weights` is the same matrix as a ``scipy.sparse.csr_array``,
+    built over these arrays on first access; nothing else loads
+    ``scipy.sparse``.
 
     Parameters
     ----------
     weights : numpy.ndarray or scipy.sparse matrix
-        Square symmetric matrix of finite nonnegative reals. Dense input is
-        converted to CSR; the caller's matrix is never modified.
+        Square symmetric matrix of finite nonnegative reals (integers or
+        floats; strings, bools and complex numbers raise
+        :class:`NonFiniteEntry`). The caller's matrix is never modified.
 
     Attributes
     ----------
     n : int
+    indptr, indices, data : numpy.ndarray
+        The canonical CSR arrays (read-only).
     degrees : numpy.ndarray
         Row sums (read-only).
     total_weight_2m : float
         Sum of all entries, i.e. 2M.
     """
 
-    __slots__ = ("_csr", "n", "degrees", "total_weight_2m")
+    __slots__ = ("n", "indptr", "indices", "data", "degrees", "total_weight_2m", "_weights")
 
     def __init__(self, weights):
-        mat = weights if sparse.issparse(weights) else np.asarray(weights, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        # a scipy.sparse matrix can only exist once its module is loaded
+        sparse = sys.modules.get("scipy.sparse")
+        if sparse is not None and sparse.issparse(weights):
+            if weights.dtype.kind not in "iuf":
+                raise NonFiniteEntry(f"weights must be finite real numbers, got dtype {weights.dtype}")
+            shape = weights.shape
+        else:
+            weights = _as_reals(weights, "weights")
+            shape = weights.shape
+        if len(shape) != 2 or shape[0] != shape[1]:
             raise DimensionMismatch("weight matrix must be square")
-        mat = sparse.csr_array(mat, dtype=float, copy=True)
-        mat.sum_duplicates()
-        mat.eliminate_zeros()
-        if not np.isfinite(mat.data).all():
-            raise NonFiniteEntry("weights must be finite")
-        if mat.nnz and mat.data.min() < 0:
-            raise NegativeEntry("weights must be nonnegative")
-        t = mat.T.tocsr()  # canonical too, so equal arrays mean equal matrices
-        pairs = zip((mat.indptr, mat.indices, mat.data), (t.indptr, t.indices, t.data))
-        if not all(np.array_equal(x, y) for x, y in pairs):
+        if isinstance(weights, np.ndarray):
+            rows, cols = np.nonzero(weights)
+            vals = weights[rows, cols]
+        else:
+            coo = weights.tocoo()
+            rows, cols, vals = coo.row, coo.col, coo.data.astype(float, copy=False)
+        n = shape[0]
+        codes, vals = _summed_entries(n, rows, cols, vals)
+        rows, cols = np.divmod(codes, max(n, 1))
+        mirror = cols * n + rows
+        back = np.argsort(mirror)
+        if not (np.array_equal(mirror[back], codes) and np.array_equal(vals[back], vals)):
             raise DimensionMismatch("weights must be symmetric")
-        for arr in (mat.data, mat.indices, mat.indptr):
-            arr.flags.writeable = False
-        self._csr = mat
-        self.n = mat.shape[0]
-        # finite weights can still sum past the float range; the degrees are
-        # nonnegative, so one infinite degree makes 2M infinite too
+        self._store(n, rows, cols, vals)
+
+    def _store(self, n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
+        """Keep the canonical CSR of the symmetric n x n matrix whose
+        entries, in row-major order without duplicates or zeros, are
+        ``vals`` at ``(rows, cols)``; its degrees and 2M must be finite."""
+        # scipy's index dtype, so the `weights` view shares these arrays
+        index = np.int32 if max(n, vals.size) <= np.iinfo(np.int32).max else np.int64
+        counts = np.bincount(rows, minlength=n)
+        indptr = np.zeros(n + 1, dtype=index)
+        np.cumsum(counts, out=indptr[1:])
+        # Row sums as scipy's csr sum(axis=1) takes them, one add.reduceat
+        # over the nonempty rows, so they match it to the last bit. Finite
+        # weights can still sum past the float range; the degrees are
+        # nonnegative, so one infinite degree makes 2M infinite too.
+        degrees = np.zeros(n)
+        full = np.flatnonzero(counts)
         with np.errstate(over="ignore"):
-            degrees = np.asarray(mat.sum(axis=1), dtype=float).ravel()
+            if full.size:
+                degrees[full] = np.add.reduceat(vals, indptr[full])
             two_m = float(degrees.sum())
-        if not np.isfinite(two_m):
+        if not math.isfinite(two_m):
             raise NonFiniteEntry("degrees and total weight overflow: the weights are too large")
-        degrees.flags.writeable = False
+        self.n = n
+        self.indptr, self.indices, self.data = indptr, cols.astype(index), vals
         self.degrees = degrees
+        for arr in (self.indptr, self.indices, self.data, self.degrees):
+            arr.flags.writeable = False
         self.total_weight_2m = two_m
+        self._weights = None
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "WeightedGraph":
         """Build from an iterable of ``(i, j, weight)`` triples.
 
-        Each undirected edge appears once; the matrix is symmetrized.
+        Each undirected edge appears once; the matrix is symmetrized. Each
+        weight must be a real number: strings, bools and complex numbers
+        raise :class:`NonFiniteEntry`.
         """
         rows, cols, vals = [], [], []
         for i, j, w in edges:
             rows.append(i)
             cols.append(j)
             vals.append(w)
-        return cls._from_arrays(n, rows, cols, vals)
+        return cls._from_arrays(n, rows, cols, _as_reals(vals, "weights"))
 
     @classmethod
     def _from_arrays(cls, n: int, rows, cols, vals) -> "WeightedGraph":
         """Build from index and weight arrays, each undirected edge once;
         off-diagonal entries are mirrored here. Node indices must be
-        integers in ``[0, n)``."""
+        integers in ``[0, n)``; the weights are cast to float unchecked, so
+        callers pass numeric arrays (a Gilbert draw may be bools)."""
         n = _as_count(n, "n", minimum=0)
         rows, cols = (
             _as_integers(a, "node indices").astype(np.int64, copy=False) for a in (rows, cols)
@@ -147,36 +209,72 @@ class WeightedGraph:
         outside = ends[(ends < 0) | (ends >= n)]
         if outside.size:
             raise DimensionMismatch(f"node index {outside[0]} is outside [0, n) for n = {n}")
-        vals = np.asarray(vals, dtype=float)
+        # Sum the duplicates of each unordered pair before mirroring, so the
+        # two triangles hold one value: the matrix is symmetric by
+        # construction, whatever order its duplicates are summed in.
+        codes, vals = _summed_entries(
+            n, np.minimum(rows, cols), np.maximum(rows, cols), np.asarray(vals, dtype=float)
+        )
+        rows, cols = np.divmod(codes, max(n, 1))
         off = rows != cols
-        i, j = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
-        data = np.concatenate([vals, vals[off]])
-        return cls(sparse.coo_array((data, (i, j)), shape=(n, n)))
+        full = np.concatenate([codes, (cols * n + rows)[off]])
+        order = np.argsort(full)
+        rows, cols = np.divmod(full[order], max(n, 1))
+        g = cls.__new__(cls)
+        g._store(n, rows, cols, np.concatenate([vals, vals[off]])[order])
+        return g
 
     @property
-    def weights(self) -> sparse.csr_array:
-        """The stored matrix, as canonical CSR (sorted indices, no explicit
-        zeros). Use ``.toarray()`` for a dense copy."""
-        return self._csr
+    def weights(self):
+        """The stored matrix as a read-only canonical
+        ``scipy.sparse.csr_array`` (sorted indices, no explicit zeros) over
+        the graph's own arrays, built and cached on first access. Use
+        ``.toarray()`` for a dense copy."""
+        if self._weights is None:
+            from scipy import sparse
+
+            mat = sparse.csr_array((self.data, self.indices, self.indptr), shape=(self.n, self.n))
+            mat.has_canonical_format = True
+            self._weights = mat
+        return self._weights
+
+    def _node(self, i) -> int:
+        """``i`` as a node index: an integer (not a bool) in ``[0, n)``,
+        else :class:`DimensionMismatch`."""
+        try:
+            k = None if isinstance(i, bool) else operator.index(i)
+        except TypeError:
+            k = None
+        if k is None or not 0 <= k < self.n:
+            raise DimensionMismatch(f"node index {i!r} is not an integer in [0, n) for n = {self.n}")
+        return k
 
     def weight(self, i: int, j: int) -> float:
-        return float(self._csr[i, j])
+        i, j = self._node(i), self._node(j)
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        k = lo + int(np.searchsorted(self.indices[lo:hi], j))
+        return float(self.data[k]) if k < hi and self.indices[k] == j else 0.0
 
     def neighbors(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Indices (ascending) and weights of nodes with nonzero weight to
         ``i``."""
-        lo, hi = self._csr.indptr[i], self._csr.indptr[i + 1]
-        return self._csr.indices[lo:hi], self._csr.data[lo:hi]
+        i = self._node(i)
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return self.indices[lo:hi], self.data[lo:hi]
 
     def edge_list_text(self) -> str:
         """Tab-separated ``i j weight`` lines, each undirected edge once
         (upper triangle plus any diagonal), LF terminated. If the last node
         has no edge, a final ``n-1 n-1 0.0`` line keeps the node count,
         which :func:`load_edge_list` reads as the largest index plus one."""
-        lines = []
-        coo = sparse.triu(self._csr).tocoo()
-        for i, j, w in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
-            lines.append(f"{i}\t{j}\t{float(w)!r}")
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        upper = rows <= self.indices
+        lines = [
+            f"{i}\t{j}\t{w!r}"
+            for i, j, w in zip(
+                rows[upper].tolist(), self.indices[upper].tolist(), self.data[upper].tolist()
+            )
+        ]
         if self.n and self.degrees[-1] == 0.0:
             lines.append(f"{self.n - 1}\t{self.n - 1}\t0.0")
         return "\n".join(lines) + ("\n" if lines else "")
@@ -195,7 +293,7 @@ def load_edge_list(path) -> WeightedGraph:
     :class:`EdgeListParseError` with its 1-based line number. Duplicate
     unordered pairs are rejected rather than summed.
     """
-    edges = []
+    rows, cols, vals = [], [], []
     seen: set[tuple[int, int]] = set()
     n = 0
     text = Path(path).read_text()
@@ -223,16 +321,22 @@ def load_edge_list(path) -> WeightedGraph:
         if key in seen:
             raise EdgeListParseError(f"line {lineno}: duplicate edge {key}")
         seen.add(key)
-        edges.append((i, j, w))
+        rows.append(i)
+        cols.append(j)
+        vals.append(w)
         n = max(n, i + 1, j + 1)
-    return WeightedGraph.from_edges(n, edges)
+    # parsed floats need no per-weight check, which from_edges would make
+    return WeightedGraph._from_arrays(n, rows, cols, vals)
 
 
 def _check_eps(eps: float, allow_zero: bool = True) -> None:
     if not (isinstance(eps, Real) and 0.0 <= eps <= 1.0):
         raise ValueError(f"eps must be a real number in [0, 1], got {eps!r}")
-    if not allow_zero and eps == 0.0:
-        raise ZeroEps("eps = 0 leaves the multiplicative bias unbounded")
+    # Where eps divides, 1/eps (the multiplicative bias bound) must be a
+    # float: below about 5.6e-309 it overflows, and the laws' bin edges and
+    # thresholds would turn to NaN.
+    if not allow_zero and (eps == 0.0 or math.isinf(1.0 / float(eps))):
+        raise ZeroEps(f"eps = {eps!r} leaves the multiplicative bias bound 1/eps unbounded")
 
 
 # pairs drawn per call when a Gilbert graph is sampled
@@ -349,12 +453,14 @@ def local_indetermination_criterion(g: WeightedGraph, i: int, j: int) -> float:
 
 def bias_independence(g: WeightedGraph, i: int, j: int) -> float:
     """The independence null value ``a_i * a_j / 2M`` for pair (i, j)."""
+    i, j = g._node(i), g._node(j)
     two_m = _require_edges(g)
     return g.degrees[i] * g.degrees[j] / two_m
 
 
 def bias_indetermination(g: WeightedGraph, i: int, j: int) -> float:
     """The indetermination null value ``a_i/n + a_j/n - 2M/n**2``."""
+    i, j = g._node(i), g._node(j)
     n = g.n
     return g.degrees[i] / n + g.degrees[j] / n - g.total_weight_2m / (n * n)
 
@@ -603,7 +709,10 @@ def _affine_law(
         r = live[lo : lo + step]
         a, c = slope[r, None], offset[r, None]
         flat = a == 0.0
-        t = (cuts - c) / np.where(flat, 1.0, a)
+        # a tiny slope sends thresholds past the float range, and an
+        # infinite one clips to the end of its row like any other
+        with np.errstate(over="ignore"):
+            t = (cuts - c) / np.where(flat, 1.0, a)
         # prefix rows count d_j < t, suffix rows d_j <= t; flat rows all or none
         k = np.where(a > 0.0, np.ceil(t), np.floor(t) + 1.0)
         k = np.where(flat, (c < cuts) * float(size), np.clip(k, 0.0, size))

@@ -72,13 +72,7 @@ from ._record import Record
 from .errors import (
     DimensionMismatch, EmptyGraph, NonFiniteEntry, TooLarge, _as_count, _as_integers
 )
-from .graph import (
-    WeightedGraph,
-    indetermination_block,
-    independence_block,
-    local_indetermination_criterion,
-    local_independence_criterion,
-)
+from .graph import WeightedGraph, indetermination_block, independence_block
 
 __all__ = [
     "Partition",
@@ -143,14 +137,14 @@ class LocalCriterion:
     aggregate data only (``w_sum`` the total I-J weight, ``deg_*`` the
     degree masses, ``size_*`` the node counts); it must be additive in the
     J-side arguments, which both built-in criteria are, and work
-    elementwise on arrays. ``evaluator(g, i, j)`` returns the pair value;
-    for the built-in criteria it is the block formula on two singletons,
-    not a second copy of it. ``needs_total_weight`` marks criteria whose
-    formulas divide by 2M, so an edgeless graph is rejected up front.
+    elementwise on arrays. The pair value is the block formula on two
+    singletons (:func:`~coupleclust.graph.local_independence_criterion`
+    and :func:`~coupleclust.graph.local_indetermination_criterion`).
+    ``needs_total_weight`` marks criteria whose formulas divide by 2M, so
+    an edgeless graph is rejected up front.
     """
 
     kind: str
-    evaluator: Callable[[WeightedGraph, int, int], float]
     block_evaluator: Callable[..., float]
     needs_total_weight: bool = False
 
@@ -159,7 +153,6 @@ def independence_criterion() -> LocalCriterion:
     """The criterion subtracting the independence null (degree product)."""
     return LocalCriterion(
         kind="independence",
-        evaluator=local_independence_criterion,
         block_evaluator=independence_block,
         needs_total_weight=True,
     )
@@ -169,7 +162,6 @@ def indetermination_criterion() -> LocalCriterion:
     """The criterion subtracting the indetermination null (degree sum)."""
     return LocalCriterion(
         kind="indetermination",
-        evaluator=local_indetermination_criterion,
         block_evaluator=indetermination_block,
         needs_total_weight=False,
     )
@@ -256,8 +248,7 @@ def _stored_entries(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """Row, column and weight of every stored entry, row by row in the order
     :meth:`WeightedGraph.neighbors` yields them (both triangles, diagonal
     included)."""
-    w = g.weights
-    return np.repeat(np.arange(g.n), np.diff(w.indptr)), w.indices, w.data
+    return np.repeat(np.arange(g.n), np.diff(g.indptr)), g.indices, g.data
 
 
 def _score_labels(
@@ -882,9 +873,10 @@ def exhaustive_best_partition(
         raise TooLarge(f"exhaustive search capped at 10 nodes, got {g.n}")
     n = g.n
     d = g.degrees
-    c = criterion.block_evaluator(
-        g.weights.toarray(), d[:, None], d[None, :], 1.0, 1.0, n, g.total_weight_2m
-    )
+    stored_rows, stored_cols, stored = _stored_entries(g)
+    a = np.zeros((n, n))
+    a[stored_rows, stored_cols] = stored
+    c = criterion.block_evaluator(a, d[:, None], d[None, :], 1.0, 1.0, n, g.total_weight_2m)
     scores = np.full(1, c[0, 0])
     for t in range(1, n):
         rows, parent = _partition_level(t)

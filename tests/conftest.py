@@ -5,7 +5,17 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from coupleclust import check_condition_h, sample_dirichlet
+from coupleclust import (
+    check_condition_h,
+    local_indetermination_criterion,
+    local_independence_criterion,
+    sample_dirichlet,
+)
+
+PAIR_CRITERIA = {
+    "independence": local_independence_criterion,
+    "indetermination": local_indetermination_criterion,
+}
 
 
 @pytest.fixture(autouse=True)
@@ -31,8 +41,9 @@ def h_valid_margin_pair(p, q, rng, max_tries=1_000_000):
 def brute_force_score(g, criterion, labels) -> float:
     """The O(n**2) oracle: the pair criterion summed over all ordered
     same-class pairs."""
+    pair = PAIR_CRITERIA[criterion.kind]
     return sum(
-        criterion.evaluator(g, i, j)
+        pair(g, i, j)
         for i in range(g.n)
         for j in range(g.n)
         if labels[i] == labels[j]

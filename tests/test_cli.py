@@ -252,6 +252,14 @@ def test_joint_file_dimensions_must_be_integers(capsys, tmp_path):
     assert_single_json_error(err, "NonPositiveDimension")
 
 
+@pytest.mark.parametrize("eps", ["1e-320", "5e-324"])
+def test_bias_hist_refuses_an_eps_whose_reciprocal_overflows(capsys, eps):
+    code, out, err = run_cli(capsys, ["bias-hist", "50", eps, "--theoretical"])
+    assert code == 1
+    assert out == ""
+    assert_single_json_error(err, "ZeroEps")
+
+
 @pytest.mark.parametrize("extra", [[], ["--theoretical"]])
 def test_bias_hist_needs_a_node_pair(capsys, extra):
     code, out, err = run_cli(capsys, ["bias-hist", "1", "0.3"] + extra)

@@ -83,6 +83,61 @@ def test_weighted_graph_rejects_non_finite_weights(bad):
         cc.WeightedGraph.from_edges(3000, [(0, 2999, bad)])
 
 
+NOT_REAL = {
+    "string": "1",
+    "bool": True,
+    "complex": 1 + 1j,
+    "object": object(),
+}
+
+
+@pytest.mark.parametrize("bad", NOT_REAL.values(), ids=NOT_REAL.keys())
+def test_weights_must_be_real_numbers(bad):
+    nest = [[0, bad], [bad, 0]]
+    mixed = [[0.0, 1.0, bad], [1.0, 0.0, 0.0], [bad, 0.0, 0.0]]
+    typed = np.array([[bad] * 2] * 2)  # of dtype str, bool, complex or object
+    for dense in (nest, mixed, typed, np.array(mixed, dtype=object)):
+        with pytest.raises(cc.NonFiniteEntry, match="real numbers"):
+            cc.WeightedGraph(dense)
+    for edges in ([(0, 1, bad)], [(0, 1, 1.0), (1, 2, bad)]):
+        with pytest.raises(cc.NonFiniteEntry, match="real numbers"):
+            cc.WeightedGraph.from_edges(3, edges)
+    if isinstance(bad, (bool, complex)):  # the dtypes scipy.sparse can hold
+        with pytest.raises(cc.NonFiniteEntry, match="real numbers"):
+            cc.WeightedGraph(sparse.csr_array(typed))
+
+
+def test_integer_weights_are_real_numbers():
+    a = np.array([[0, 2], [2, 0]])
+    for g in (
+        cc.WeightedGraph(a),
+        cc.WeightedGraph(a.tolist()),
+        cc.WeightedGraph(sparse.csr_array(a)),
+        cc.WeightedGraph.from_edges(2, [(0, 1, 2)]),
+        cc.WeightedGraph.from_edges(2, [(0, 1, np.int64(2))]),
+    ):
+        assert g.data.dtype == float and g.weight(0, 1) == 2.0
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 7, np.int64(-1), 1.0, True, "0", None])
+def test_node_indices_are_integers_in_range(bad):
+    g = star3()
+    calls = (
+        lambda: g.neighbors(bad),
+        lambda: g.weight(bad, 0),
+        lambda: g.weight(0, bad),
+        lambda: cc.local_independence_criterion(g, bad, 0),
+        lambda: cc.local_indetermination_criterion(g, 0, bad),
+        lambda: cc.bias_independence(g, bad, 0),
+        lambda: cc.bias_indetermination(g, 0, bad),
+    )
+    for call in calls:
+        with pytest.raises(cc.DimensionMismatch, match=r"is not an integer in \[0, n\) for n = 3"):
+            call()
+    assert g.weight(np.int32(0), np.int64(2)) == 1.0
+    npt.assert_array_equal(g.neighbors(np.uint8(1))[0], [0])
+
+
 def test_weighted_graph_rejects_weights_whose_sums_overflow():
     # every weight is finite, but node 1's degree and 2M are not
     with pytest.raises(cc.NonFiniteEntry, match="overflow"):
@@ -578,12 +633,27 @@ def test_exact_bias_laws_validate_n_then_eps_then_bins(law):
         ((5, 1.5, 0), ValueError),
         ((5, -0.1, 200), ValueError),
         ((5, 0.0, 0), cc.ZeroEps),
+        # 1/eps overflows: the bias bound and the bin edges would be inf
+        ((50, 1e-320, 200), cc.ZeroEps),
+        ((50, 5e-324, 200), cc.ZeroEps),
         ((5, 0.5, 0), cc.NonPositiveDimension),
     ]
     for args, error in cases:
         with pytest.raises(error) as info:
             law(*args)
         assert type(info.value) is error, (args, info.value)
+
+
+@pytest.mark.parametrize("eps", [1e-300, 1e-307, 6e-309])
+def test_exact_bias_laws_at_the_smallest_eps(eps, recwarn):
+    # the smallest eps whose reciprocal is a float still gives whole laws
+    # on finite bin edges, without warnings
+    times, plus = cc.theoretical_bias_histograms(50, eps)
+    diff = cc.theoretical_bias_difference_distribution(50, eps)
+    for h in (times, plus, diff):
+        assert np.isfinite(h.bin_edges).all()
+        assert abs(h.total - 1.0) <= 1e-12
+    assert not recwarn.list
 
 
 def test_empirical_bias_samples_shapes_and_determinism():

@@ -77,8 +77,8 @@ def test_complete_graph_pinned_values():
     g = complete_graph(4)
     crit_x = cc.independence_criterion()
     crit_p = cc.indetermination_criterion()
-    npt.assert_allclose(crit_x.evaluator(g, 0, 1), 1.0 / 48.0, atol=1e-15)
-    npt.assert_allclose(crit_p.evaluator(g, 0, 1), 0.25, atol=1e-15)
+    npt.assert_allclose(cc.local_independence_criterion(g, 0, 1), 1.0 / 48.0, atol=1e-15)
+    npt.assert_allclose(cc.local_indetermination_criterion(g, 0, 1), 0.25, atol=1e-15)
     singletons = cc.Partition.from_labels(np.arange(4))
     npt.assert_allclose(cc.global_score(g, crit_x, singletons), -0.25, atol=1e-12)
     npt.assert_allclose(cc.global_score(g, crit_p, singletons), -3.0, atol=1e-12)

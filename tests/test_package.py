@@ -62,31 +62,46 @@ def test_every_public_name_is_its_submodules_object():
 
 GUARD = """
 import json, sys
+from pathlib import Path
 import coupleclust, coupleclust.cli
-steps = ["scipy.stats" in sys.modules]
-code = coupleclust.cli.main(["cluster", "--karate", "--out", sys.argv[1]])
-steps.append("scipy.stats" in sys.modules)
+out = Path(sys.argv[1])
+(out / "margins.json").write_text(json.dumps({"mu": [0.7, 0.3], "nu": [0.6, 0.4]}))
+HEAVY = ("scipy.stats", "scipy.sparse")
+loaded = {"import": [m for m in HEAVY if m in sys.modules]}
+codes = {}
+def run(stage, argv):
+    codes[stage] = coupleclust.cli.main(argv + ["--out", str(out / stage)])
+    loaded[stage] = [m for m in HEAVY if m in sys.modules]
+run("cluster", ["cluster", "--karate"])
+run("gilbert", ["gilbert", "8", "0.5", "--seed", "1"])
+run("best-exhaustive", ["best-exhaustive", str(out / "gilbert")])
+run("couple", ["couple", str(out / "margins.json")])
+run("delta", ["delta", "3", "3", "--samples", "1000"])
 times, plus = coupleclust.theoretical_bias_histograms(50, 0.3)
 diff = coupleclust.theoretical_bias_difference_distribution(50, 0.3)
 mass = coupleclust.theoretical_joint_pmf(50, 0.3)
-hist_code = coupleclust.cli.main(["bias-hist", "50", "0.3", "--theoretical", "--out", sys.argv[2]])
-steps.append("scipy.stats" in sys.modules)
+loaded["laws"] = [m for m in HEAVY if m in sys.modules]
+run("bias-hist", ["bias-hist", "50", "0.3", "--theoretical"])
 counts = [h.counts.tolist() for h in (times, plus, diff)]
-print(json.dumps({"codes": [code, hist_code], "loaded": steps, "counts": counts, "mass": mass.sum()}))
+print(json.dumps({"codes": codes, "loaded": loaded, "counts": counts, "mass": mass.sum()}))
 """
+
+STAGES = ("cluster", "gilbert", "best-exhaustive", "couple", "delta", "bias-hist")
 
 
 def test_clustering_does_not_import_scipy_stats(tmp_path):
-    """A fresh process imports the package, clusters karate, and computes
-    both exact bias laws, the joint degree law and a theoretical
-    ``bias-hist`` without loading ``scipy.stats``: the binomial masses come
-    from the package's own kernel. This process already has the module (the
-    tests use it as a reference), so only a new interpreter can tell. The
+    """A fresh process imports the package, then runs ``cluster --karate``,
+    ``gilbert``, ``best-exhaustive``, ``couple``, ``delta``, both exact
+    bias laws, the joint degree law and a theoretical ``bias-hist``, and
+    neither ``scipy.stats`` nor ``scipy.sparse`` is loaded after any stage:
+    the binomial masses come from the package's own kernel, and graphs keep
+    their CSR in numpy arrays. This process already has both modules (the
+    tests use them as references), so only a new interpreter can tell. The
     laws give the same counts there as here."""
     src = str(Path(cc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-c", GUARD, str(tmp_path / "labels.json"), str(tmp_path / "hist.csv")],
+        [sys.executable, "-c", GUARD, str(tmp_path)],
         capture_output=True,
         text=True,
         env=env,
@@ -94,20 +109,22 @@ def test_clustering_does_not_import_scipy_stats(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
-    assert report["codes"] == [0, 0]
-    assert report["loaded"] == [False, False, False]
-    assert (tmp_path / "labels.json").exists() and (tmp_path / "hist.csv").exists()
+    assert report["codes"] == dict.fromkeys(STAGES, 0)
+    assert report["loaded"] == dict.fromkeys(("import", *STAGES[:-1], "laws", "bias-hist"), [])
+    assert all((tmp_path / stage).exists() for stage in STAGES)
     assert abs(report["mass"] - 1.0) <= 1e-12
     times, plus = cc.theoretical_bias_histograms(50, 0.3)
     diff = cc.theoretical_bias_difference_distribution(50, 0.3)
     assert report["counts"] == [h.counts.tolist() for h in (times, plus, diff)]
 
 
-def _imported_modules(tree: ast.AST):
+def _imported_modules(tree: ast.AST, import_time_only: bool = False):
     """Every module an ``import`` or ``from ... import`` statement names,
     counting each name ``from X import name`` takes as a possible
-    submodule ``X.name``."""
-    for node in ast.walk(tree):
+    submodule ``X.name``. With ``import_time_only``, statements inside a
+    function body, which run only when the function is called, are
+    skipped."""
+    for node in _statements(tree, import_time_only):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module:
@@ -115,14 +132,36 @@ def _imported_modules(tree: ast.AST):
             yield from (f"{node.module}.{alias.name}" for alias in node.names)
 
 
+def _statements(node: ast.AST, skip_functions: bool):
+    for child in ast.iter_child_nodes(node):
+        if skip_functions and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        yield child
+        yield from _statements(child, skip_functions)
+
+
+def _offenders(module: str, import_time_only: bool = False) -> list[str]:
+    package = Path(cc.__file__).resolve().parent
+    return sorted(
+        f"{path.relative_to(package)}: {name}"
+        for path in package.rglob("*.py")
+        for name in _imported_modules(ast.parse(path.read_text(), str(path)), import_time_only)
+        if name == module or name.startswith(f"{module}.")
+    )
+
+
 def test_no_module_imports_scipy_stats():
     """No statement anywhere in the package imports ``scipy.stats``, so
     paths the fresh-process guard does not run are covered too."""
-    package = Path(cc.__file__).resolve().parent
-    offenders = sorted(
-        f"{path.relative_to(package)}: {name}"
-        for path in package.rglob("*.py")
-        for name in _imported_modules(ast.parse(path.read_text(), str(path)))
-        if name == "scipy.stats" or name.startswith("scipy.stats.")
-    )
+    offenders = _offenders("scipy.stats")
     assert not offenders, offenders
+
+
+def test_no_module_imports_scipy_sparse_at_import_time():
+    """No module imports ``scipy.sparse`` when it is itself imported. The
+    ``WeightedGraph.weights`` view imports it when first read, and only
+    there; ``import scipy`` alone, as the CLI does for the manifest's
+    version, loads no submodule."""
+    offenders = _offenders("scipy.sparse", import_time_only=True)
+    assert not offenders, offenders
+    assert _offenders("scipy.sparse") == ["graph.py: scipy.sparse"]
