@@ -149,8 +149,9 @@ def _as_generator(rng) -> np.random.Generator:
 
 def _as_tolerance(value, name: str = "tol", allow_zero: bool = True) -> float:
     """``value`` as a float, if it is a finite real number at least 0
-    (above 0 unless ``allow_zero``); otherwise :class:`ValueError`."""
-    real = isinstance(value, Real) and math.isfinite(value)
+    (above 0 unless ``allow_zero``), not a bool; otherwise
+    :class:`ValueError`."""
+    real = isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
     if not real or value < 0 or (value == 0 and not allow_zero):
         bound = ">=" if allow_zero else ">"
         raise ValueError(f"{name} must be a finite real number {bound} 0, got {value!r}")

@@ -32,7 +32,14 @@ from .coupling import (
     couple_independence,
     indetermination_cells,
 )
-from .errors import DimensionMismatch, InconsistentTheorem, NonPositiveEntry, _as_tolerance
+from .errors import (
+    DimensionMismatch,
+    InconsistentTheorem,
+    NonFiniteEntry,
+    NonPositiveEntry,
+    _as_reals,
+    _as_tolerance,
+)
 
 __all__ = [
     "MongeReport",
@@ -50,9 +57,14 @@ DEFAULT_TOL = 1e-10
 
 
 def _as_matrix(c) -> np.ndarray:
-    arr = np.asarray(c, dtype=float)
+    """``c`` as a float matrix: real numbers only, as
+    :func:`~coupleclust.errors._as_reals` rules, nonempty and 2-d, every
+    entry finite."""
+    arr = _as_reals(c, "matrix entries")
     if arr.ndim != 2 or arr.size == 0:
         raise DimensionMismatch("expected a nonempty 2-d matrix")
+    if not np.isfinite(arr).all():
+        raise NonFiniteEntry("matrix entries must be finite")
     return arr
 
 

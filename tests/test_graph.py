@@ -1,5 +1,6 @@
 """Tests for graphs, the two local criteria, and the bias distributions."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy import sparse
 from scipy.stats import binom, chisquare
 
 import coupleclust as cc
-from coupleclust.graph import _binomial_pmf
+from coupleclust.graph import _binomial_row, _degree_rows
 
 
 def star3() -> cc.WeightedGraph:
@@ -469,18 +470,41 @@ KERNEL_P = (1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.999, 1.0)
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 15, 16, 36, 81, 500, 1999, 100000])
 def test_binomial_kernel_matches_scipy(n):
-    # both sides of the stirlerr table (x <= 15), the bd0 series and its
-    # closed form, the end terms, the point masses and k outside 0..n
+    # the point masses, modes at either end of the row and inside it, and
+    # k = -1 and k = n+1 as zero padding (as _degree_rows pads the row)
     k = np.arange(-1, n + 2)
     for p in KERNEL_P:
-        ours = _binomial_pmf(k, n, p)
+        ours = np.concatenate(([0.0], _binomial_row(n, p), [0.0]))
         reference = binom.pmf(k, n, p)
         big = reference >= 1e-280
         rel = np.abs(ours[big] - reference[big]) / reference[big]
         assert rel.max() <= 1e-11, (p, k[big][rel.argmax()], rel.max())
         assert np.all((ours[~big] >= 0.0) & (ours[~big] <= 1e-280)), p
-        assert np.all(ours[(k < 0) | (k > n)] == 0.0), p
         assert abs(ours.sum() - 1.0) <= 1e-12, p
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 300])
+def test_binomial_kernel_matches_exact_masses(n):
+    # exact rational masses of the float p = a/b, so no scipy in the oracle:
+    # C(n, k) a**k (b-a)**(n-k) / b**n, correctly rounded by int division
+    for p in KERNEL_P[:-1]:
+        a, b = p.as_integer_ratio()
+        exact = np.array(
+            [math.comb(n, k) * a**k * (b - a) ** (n - k) / b**n for k in range(n + 1)]
+        )
+        big = exact >= 1e-280
+        rel = np.abs(_binomial_row(n, p)[big] - exact[big]) / exact[big]
+        assert rel.max() <= 1e-13, (p, rel.argmax(), rel.max())
+
+
+@pytest.mark.parametrize("n, eps", [(1, 0.3), (2, 1.0), (50, 0.01), (2000, 0.3)])
+def test_degree_rows_shift_one_binomial_row(n, eps):
+    # the b = 1 row is the b = 0 row one degree up, with a 0 at each free end
+    row0, row1 = _degree_rows(n, eps)
+    assert row0.shape == row1.shape == (n + 1,)
+    assert row0[-1] == 0.0 and row1[0] == 0.0
+    npt.assert_array_equal(row1[1:], row0[:-1])
+    npt.assert_array_equal(row0[:-1], _binomial_row(n - 1, eps))
 
 
 def test_theoretical_pmf_n2_values():

@@ -142,7 +142,7 @@ TOLERANCE_CHECKS = {
 def test_tolerances_are_finite_and_nonnegative(check):
     check(0)
     check(np.float32(1e-3))
-    for bad in (float("nan"), float("inf"), -1, -1e-12, "1e-3", None):
+    for bad in (float("nan"), float("inf"), -1, -1e-12, "1e-3", None, True):
         with pytest.raises(ValueError, match="tol"):
             check(bad)
 
@@ -157,7 +157,7 @@ EPS_ROWS = [(f, kwargs) for f, kwargs, _ in COUNTS if kwargs.get("eps")]
 )
 def test_eps_is_a_real_number_in_the_unit_interval(func, kwargs):
     func(**{**kwargs, "eps": np.float64(0.5)})
-    for bad in ("0.3", None, float("nan"), float("inf"), -0.1, 1.5):
+    for bad in ("0.3", None, True, float("nan"), float("inf"), -0.1, 1.5):
         with pytest.raises(ValueError, match="^eps must be a real number in"):
             func(**{**kwargs, "eps": bad})
 

@@ -165,3 +165,30 @@ def test_matrix_validation():
         cc.is_monge(np.array([1.0, 2.0]))
     with pytest.raises(cc.DimensionMismatch):
         cc.monge_report(np.zeros((0, 3)))
+
+
+# Matrices no predicate may read: non-finite cells, bools read as 0/1, and
+# numeric strings numpy would parse.
+BAD_MATRICES = {
+    "nan": [[np.nan, 1.0], [1.0, 1.0]],
+    "inf": [[np.inf, 1.0], [1.0, 1.0]],
+    "-inf": [[1.0, 1.0], [1.0, -np.inf]],
+    "numpy-bool": np.array([[True, False], [False, True]]),
+    "python-bool": [[True, 1.0], [1.0, 1.0]],
+    "string": [["0.5", "1"], ["1", "1"]],
+}
+PREDICATES = [
+    cc.adjacent_sum_residuals,
+    cc.is_monge,
+    cc.is_anti_monge,
+    cc.is_full_monge,
+    cc.is_full_log_monge,
+    cc.monge_report,
+]
+
+
+@pytest.mark.parametrize("predicate", PREDICATES, ids=[f.__name__ for f in PREDICATES])
+@pytest.mark.parametrize("matrix", BAD_MATRICES.values(), ids=BAD_MATRICES.keys())
+def test_predicates_reject_non_finite_and_non_numeric_matrices(predicate, matrix):
+    with pytest.raises(cc.NonFiniteEntry, match="^matrix entries must be"):
+        predicate(matrix)

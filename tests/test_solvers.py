@@ -156,7 +156,7 @@ def test_loose_tolerance_on_the_boundary_still_reports():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         cc.SolverConfig(tolerance=0.0)
-    for bad in (float("nan"), float("inf"), -float("inf"), -1e-3, "1e-3", None):
+    for bad in (float("nan"), float("inf"), -float("inf"), -1e-3, "1e-3", None, True):
         with pytest.raises(ValueError, match="tolerance"):
             cc.SolverConfig(tolerance=bad)
     for bad in (0, 2.5, 3.0, "3", None):
