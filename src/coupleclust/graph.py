@@ -407,9 +407,19 @@ def _upper_triangle_graph(n: int, draw) -> WeightedGraph:
 
 
 def _require_edges(g: WeightedGraph) -> float:
-    if g.total_weight_2m <= 0.0:
+    """2M, for the independence formulas, which divide a degree product by
+    2M or by (2M)**2. An edgeless graph raises :class:`EmptyGraph`, and
+    one whose (2M)**2 is below the smallest normal float (2M below about
+    1.5e-154) raises :class:`NonFiniteEntry`: the degree products then lose
+    their precision, and below about 1e-162 (2M)**2 is 0."""
+    two_m = g.total_weight_2m
+    if two_m <= 0.0:
         raise EmptyGraph("graph has zero total weight")
-    return g.total_weight_2m
+    if two_m * two_m < sys.float_info.min:
+        raise NonFiniteEntry(
+            "the independence criterion underflows on this graph: the weights are too small"
+        )
+    return two_m
 
 
 def independence_block(w_sum, deg_i, deg_j, size_i, size_j, n, two_m):

@@ -26,9 +26,11 @@ or all-in-one; a final fallback enforces the latter). One search object
 per call holds the graph, the criterion and the rounding tolerance derived
 from both; every run, phase and the fallback read it. On graphs of at most
 ``_ESCAPE_CAP`` nodes the polish also runs a Kernighan-Lin-style escape
-pass, O(n**2 * k) for k classes per distinct starting partition per race:
-restarts that polish to the same partition share its result, which the
-search object keeps under the starting labels. On a graph with at least
+pass, O(n**2 * k) for k classes per distinct settled partition per race.
+The search object records each partition at which the polish settled (no
+merge and no single-node move gains) with its escape result, and a restart
+that reaches a recorded partition whose escape pass does not improve stops
+there, as every further phase would move nothing. On a graph with at least
 ``_FORK_MIN_ENTRIES`` stored entries and more than one usable CPU, the
 runs go to forked worker processes, which inherit the search object; each
 run stays sequential and the results are raced in stream order, so the
@@ -72,7 +74,7 @@ from ._record import Record
 from .errors import (
     DimensionMismatch, EmptyGraph, NonFiniteEntry, TooLarge, _as_count, _as_integers
 )
-from .graph import WeightedGraph, indetermination_block, independence_block
+from .graph import WeightedGraph, _require_edges, indetermination_block, independence_block
 
 __all__ = [
     "Partition",
@@ -106,7 +108,8 @@ class Partition(Record):
         if labels.ndim != 1 or labels.size == 0:
             raise DimensionMismatch("labels must be a nonempty 1-d array")
         k = int(labels.max()) + 1
-        if not np.array_equal(_canonical(labels), labels):
+        # canonical labels lie in [0, n), the domain of _canonical
+        if labels.min() < 0 or k > labels.size or not np.array_equal(_canonical(labels), labels):
             raise ValueError(
                 "labels are not canonical: use Partition.from_labels to relabel"
             )
@@ -118,7 +121,8 @@ class Partition(Record):
         arr = _as_integers(labels, "class labels")
         if arr.ndim != 1 or arr.size == 0:
             raise DimensionMismatch("labels must be a nonempty 1-d array")
-        return cls(labels=_canonical(arr))
+        # compressed to [0, k) first, the domain of _canonical
+        return cls(labels=_canonical(np.unique(arr, return_inverse=True)[1]))
 
     @property
     def n(self) -> int:
@@ -140,8 +144,9 @@ class LocalCriterion:
     elementwise on arrays. The pair value is the block formula on two
     singletons (:func:`~coupleclust.graph.local_independence_criterion`
     and :func:`~coupleclust.graph.local_indetermination_criterion`).
-    ``needs_total_weight`` marks criteria whose formulas divide by 2M, so
-    an edgeless graph is rejected up front.
+    ``needs_total_weight`` marks criteria whose formulas divide by 2M and
+    its square, so an edgeless graph, or one whose (2M)**2 underflows, is
+    rejected up front.
     """
 
     kind: str
@@ -225,7 +230,9 @@ def _check_graph(g: WeightedGraph, criterion: LocalCriterion) -> float:
     Every block the search evaluates has ``w_sum`` and degree masses at most
     2M and sizes at most n, so if the block with all of them at their bound
     is finite (in Python floats, which warn of nothing), no intermediate
-    product overflows; otherwise the graph is rejected. A criterion that is
+    product overflows; otherwise the graph is rejected, as it is under a
+    criterion that divides by (2M)**2 if that square underflows (see
+    :func:`~coupleclust.graph._require_edges`). A criterion that is
     not a :class:`LocalCriterion` (a name, say) raises :class:`ValueError`."""
     if not isinstance(criterion, LocalCriterion):
         raise ValueError(
@@ -235,8 +242,8 @@ def _check_graph(g: WeightedGraph, criterion: LocalCriterion) -> float:
     if g.n == 0:
         raise EmptyGraph("graph has no nodes")
     two_m = g.total_weight_2m
-    if criterion.needs_total_weight and two_m <= 0.0:
-        raise EmptyGraph("graph has zero total weight")
+    if criterion.needs_total_weight:
+        _require_edges(g)
     if not math.isfinite(criterion.block_evaluator(two_m, two_m, two_m, g.n, g.n, g.n, two_m)):
         raise NonFiniteEntry(
             f"the {criterion.kind} criterion overflows on this graph: the weights are too large"
@@ -301,13 +308,20 @@ class _SearchGraph:
     fallback: the criterion, the rounding tolerance ``tol`` that
     :func:`_check_graph` derives here (so a graph the criterion cannot
     score raises here), the stored entries as flat arrays for scoring, and
-    the singleton level's lists for the move phases. None of these is ever
-    mutated; the one exception is ``escapes``, the results of
-    :func:`_escape_pass` keyed by the canonical starting labels, which
-    fills as the restarts run (each forked worker fills its own copy).
+    the singleton level's lists for the move phases, and the singletons'
+    score, where every run's trace starts. None of these is ever mutated;
+    the one exception is ``settled``, which fills as the restarts run (each
+    forked worker fills its own copy). Its keys are the canonical labels of
+    the partitions at which a :func:`_polish` iteration's merge and
+    refinement phases both moved nothing; each value is the
+    :func:`_escape_pass` result from there, ``(labels, improved)``, or
+    ``(labels, False)`` on a graph above ``_ESCAPE_CAP`` nodes, where no
+    escape pass runs.
     """
 
-    __slots__ = ("g", "criterion", "tol", "entries", "adj", "deg", "size", "escapes")
+    __slots__ = (
+        "g", "criterion", "tol", "entries", "adj", "deg", "size", "lone_score", "settled"
+    )
 
     def __init__(self, g: WeightedGraph, criterion: LocalCriterion):
         self.tol = _check_graph(g, criterion)
@@ -316,7 +330,8 @@ class _SearchGraph:
         self.entries = _stored_entries(g)
         lone = _Level.of_classes(self, np.arange(g.n))
         self.adj, self.deg, self.size = lone.adj, lone.deg, lone.size
-        self.escapes: dict[bytes, tuple[np.ndarray, bool]] = {}
+        self.lone_score = self.score(np.arange(g.n))
+        self.settled: dict[bytes, tuple[np.ndarray, bool]] = {}
 
     def score(self, labels) -> float:
         return _score_labels(self.g, self.criterion, labels, self.entries)
@@ -328,9 +343,16 @@ class _SearchGraph:
 
 
 def _canonical(labels) -> np.ndarray:
-    """Relabel classes 0, 1, 2, ... by first appearance."""
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    return np.argsort(np.argsort(first))[inverse]
+    """Relabel classes 0, 1, 2, ... by first appearance, as int64.
+
+    ``labels`` (an integer array or list) must lie in [0, n) for n labels,
+    as every label the search makes does: a lookup table indexed by label
+    maps each class to its rank of first appearance, with no sort."""
+    labels = np.asarray(labels)
+    first = list(dict.fromkeys(labels.tolist()))
+    lookup = np.empty(labels.size, dtype=np.int64)
+    lookup[first] = np.arange(len(first))
+    return lookup[labels]
 
 
 class _Level:
@@ -558,7 +580,7 @@ _MAX_SWEEPS = 100
 _ESCAPE_CAP = 128
 
 
-def _escape_pass(sg: _SearchGraph, labels: np.ndarray) -> tuple[np.ndarray, bool]:
+def _escape_pass(sg: _SearchGraph, start: np.ndarray) -> tuple[np.ndarray, bool]:
     """One sequence of forced best moves, keeping the best prefix.
 
     Plateaus where only a coordinated group of moves gains are invisible to
@@ -569,16 +591,11 @@ def _escape_pass(sg: _SearchGraph, labels: np.ndarray) -> tuple[np.ndarray, bool
     canonical labels, read-only, and whether the kept prefix improved the
     score.
 
-    A pass costs O(n**2 * k) for k classes, but only once per distinct
-    starting partition per race: ``sg`` fixes the criterion and ``tol``, so
-    the result is a function of the canonical starting labels alone, and is
-    kept in ``sg.escapes`` under them, so restarts that polish to the same
-    partition share it.
+    A pass costs O(n**2 * k) for k classes. ``sg`` fixes the criterion and
+    ``tol``, so the result is a function of the canonical ``start`` labels
+    alone: :func:`_polish` keeps it in ``sg.settled`` under them, and runs
+    the pass once per distinct settled partition per race.
     """
-    start = _canonical(labels)
-    key = start.tobytes()
-    if key in sg.escapes:
-        return sg.escapes[key]
     level = _Level.from_partition(sg, start)
     cls_size = level.cls_size
     n = sg.g.n
@@ -618,8 +635,7 @@ def _escape_pass(sg: _SearchGraph, labels: np.ndarray) -> tuple[np.ndarray, bool
         _move(level, node, src)
     result = _canonical(level.labels)
     result.flags.writeable = False
-    sg.escapes[key] = result, best_cum > tol
-    return sg.escapes[key]
+    return result, best_cum > tol
 
 
 def _polish(
@@ -629,43 +645,63 @@ def _polish(
     trace: list[float],
 ) -> np.ndarray:
     """Alternate a merge phase with single-node refinement at the original
-    resolution (plus the escape pass on small graphs) until neither gains.
+    resolution (plus the escape pass on small graphs) until neither gains,
+    starting from canonical ``labels``; returns canonical labels.
 
     The merge phase runs on the class graph, every class a lone super-node
     visited in index order (no draw from ``rng``), so its moves are merges,
     adjacent or not. Both are polish phases: a visit may scan all k
     classes, O(k), and when neither phase moves anything, no whole-class
     merge and no single-node move gains more than ``sg.tol``.
+
+    Such a settled partition goes into ``sg.settled`` with its escape
+    result, and an iteration that starts at a settled partition whose
+    escape pass does not improve returns it at once, as the phases would
+    move nothing again: the merge phase is deterministic, and a refinement
+    phase that moves nothing prices every node at one state, so it moves
+    nothing in any visiting order. The permutation it would draw from
+    ``rng`` goes unread, as no caller draws from ``rng`` after the polish.
+    From a settled partition whose escape
+    pass improves, the phases run, since later shuffles read their draws.
     """
     identity = np.arange(sg.g.n)
     while True:
-        node_map = _canonical(labels)
-        classes = _Level.of_classes(sg, node_map)
-        merges = _run_passes(sg, classes, node_map, None, trace, True)
-        labels = _canonical(np.asarray(classes.labels)[node_map])
-        refine = _Level.from_partition(sg, labels)
+        key = labels.tobytes()
+        settled = sg.settled.get(key)
+        if settled is not None and not settled[1]:
+            return settled[0]
+        classes = _Level.of_classes(sg, labels)
+        merges = _run_passes(sg, classes, labels, None, trace, True)
+        refine = _Level.from_partition(sg, _canonical(np.asarray(classes.labels)[labels]))
         moves = _run_passes(sg, refine, identity, rng, trace, True)
-        labels = np.asarray(refine.labels)
-        if merges == 0 and moves == 0:
-            if sg.g.n <= _ESCAPE_CAP:
-                labels, improved = _escape_pass(sg, labels)
-                if improved:
-                    trace.append(sg.score(labels))
-                    continue
+        if merges or moves:
+            labels = _canonical(refine.labels)
+            continue
+        if settled is None:
+            settled = _escape_pass(sg, labels) if sg.g.n <= _ESCAPE_CAP else (labels, False)
+            sg.settled[key] = settled
+        labels, improved = settled
+        if not improved:
             return labels
+        trace.append(sg.score(labels))
 
 
 def _single_run(sg: _SearchGraph, rng: np.random.Generator) -> tuple[np.ndarray, list[float]]:
     """One full search: level loop, then :func:`_polish`. Each level is the
-    class graph of the last, built from the original entries."""
+    class graph of the last, built from the original entries. The loop also
+    ends at a partition of ``sg.settled`` whose escape pass does not
+    improve: the next level's phase prices a subset of the candidates that
+    the merge phase found no gain in, so it would move nothing, and the
+    polish returns there at once."""
     level = _Level(sg.adj, sg.deg, sg.size)
     node_map = np.arange(sg.g.n)
-    trace = [sg.score(node_map)]
+    trace = [sg.lone_score]
 
     while True:
         _run_passes(sg, level, node_map, rng, trace)
         labels = _canonical(np.asarray(level.labels)[node_map])
-        if labels.max() + 1 == len(level.adj):
+        settled = sg.settled.get(labels.tobytes())
+        if labels.max() + 1 == len(level.adj) or (settled is not None and not settled[1]):
             break
         node_map = labels
         level = _Level.of_classes(sg, node_map)
@@ -713,7 +749,7 @@ def _race(
     its criterion and ``tol``, through ``_race_state`` instead of importing
     the package and unpickling it. A run is the same deterministic
     computation either way, so the results are identical
-    (each worker fills its own copy of the escape cache, whose entries
+    (each worker fills its own copy of ``sg.settled``, whose entries
     change no result). The streams are not advanced here when the runs
     are forked, so a caller must not draw from them afterwards; with one
     stream the race never forks. Every worker is joined before this
@@ -778,7 +814,8 @@ def louvain(
         If the graph has no nodes, or has zero total weight under the
         independence criterion.
     NonFiniteEntry
-        If the weights are so large that the criterion overflows.
+        If the weights are so large that the criterion overflows, or, under
+        the independence criterion, so small that (2M)**2 underflows.
     MemoryError
         If a restart worker process dies without a Python exception, most
         likely killed for lack of memory.

@@ -551,6 +551,22 @@ def test_criterion_overflow_reports_error(capsys, tmp_path, command, criterion, 
     assert_single_json_error(err, "NonFiniteEntry")
 
 
+@pytest.mark.parametrize("command", ["cluster", "best-exhaustive"])
+@pytest.mark.parametrize("criterion", ["independence", "indetermination"])
+def test_criterion_underflow_reports_error(capsys, tmp_path, command, criterion):
+    path = tmp_path / "tiny.tsv"
+    path.write_text("0\t1\t1e-300\n")
+    code, out, err = run_cli(capsys, [command, str(path), "--criterion", criterion])
+    if criterion == "indetermination":
+        assert code == 0
+        assert json.loads(out)["labels"] == [0, 0]
+        return
+    assert code == 1
+    assert out == ""
+    assert_single_json_error(err, "NonFiniteEntry")
+    assert "too small" in err
+
+
 def test_malformed_edge_list_reports_parse_error(capsys, tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("0\t1\n")

@@ -46,6 +46,21 @@ def test_partition_canonicalization():
     assert q.k == 3
 
 
+def test_partition_label_contract():
+    # from_labels takes any integers, however far apart or close to the
+    # int64 and uint64 ends; Partition takes canonical labels only
+    cases = [
+        ([-5, 10**12, -5], [0, 1, 0]),
+        (np.array([2**63 - 1, -(2**63)], dtype=np.int64), [0, 1]),
+        (np.array([2**64 - 1, 0], dtype=np.uint64), [0, 1]),
+    ]
+    for labels, expected in cases:
+        assert cc.Partition.from_labels(labels).labels.tolist() == expected
+    for labels in ([-1, 0], [0, 2], [1, 0]):
+        with pytest.raises(ValueError, match="not canonical"):
+            cc.Partition(labels=np.array(labels))
+
+
 def test_global_score_matches_brute_force():
     rng = np.random.default_rng(7)
     g = cc.gilbert_weighted(10, 0.5, 3, rng=rng)
@@ -438,6 +453,44 @@ def test_criterion_that_overflows_is_rejected(criterion):
         assert result.score == cc.exhaustive_best_partition(big, crit)[1]
 
 
+PAIR_CRITERIA = {
+    "independence": cc.local_independence_criterion,
+    "indetermination": cc.local_indetermination_criterion,
+}
+
+
+def test_criterion_that_underflows_is_rejected():
+    # under independence (2M)**2 is 0 at 2M = 2e-300, and not a normal
+    # float below about 1.5e-154; indetermination never squares 2M
+    tiny = cc.WeightedGraph(np.array([[0.0, 1e-300], [1e-300, 0.0]]))
+    crit = cc.independence_criterion()
+    single = cc.Partition.from_labels([0, 0])
+    for search in (cc.louvain, cc.exhaustive_best_partition):
+        with pytest.raises(cc.NonFiniteEntry, match="too small"):
+            search(tiny, crit)
+    with pytest.raises(cc.NonFiniteEntry, match="too small"):
+        cc.global_score(tiny, crit, single)
+    for pair in (cc.local_independence_criterion, cc.bias_independence):
+        with pytest.raises(cc.NonFiniteEntry, match="too small"):
+            pair(tiny, 0, 1)
+    # scaled weights give the unit weights' partitions, with independence
+    # scores unchanged and indetermination scores scaled, down to 1e-150
+    # under independence and to 1e-300 under indetermination
+    unit = cc.WeightedGraph.from_edges(4, [(i, j, 1.0) for i, j in PATH3])
+    for crit in CRITERIA:
+        expected = cc.louvain(unit, crit)
+        optimum = cc.exhaustive_best_partition(unit, crit)[1]
+        for w in (1e-150,) if crit.kind == "independence" else (1e-150, 1e-300):
+            g = cc.WeightedGraph.from_edges(4, [(i, j, w) for i, j in PATH3])
+            scale = 1.0 if crit.kind == "independence" else w
+            result = cc.louvain(g, crit)
+            npt.assert_array_equal(result.partition.labels, expected.partition.labels)
+            npt.assert_allclose(result.score, expected.score * scale, rtol=1e-9)
+            npt.assert_allclose(cc.exhaustive_best_partition(g, crit)[1], optimum * scale, rtol=1e-9)
+            pair = PAIR_CRITERIA[crit.kind]
+            npt.assert_allclose(pair(g, 0, 1), pair(unit, 0, 1) * scale, rtol=1e-9)
+
+
 def test_louvain_result_json():
     g = complete_graph(4)
     result = cc.louvain(g, cc.indetermination_criterion())
@@ -624,7 +677,7 @@ def escape_pool():
 
 def test_escape_cache_changes_nothing():
     # The reference runs every restart on a search graph of its own, so no
-    # escape result is shared. The same streams then run on one search
+    # settled partition is shared. The same streams then run on one search
     # graph per criterion, shared by all restarts and seeds, one after
     # another and raced; labels and traces must not change.
     search_graph = louvain_module._SearchGraph
@@ -645,7 +698,7 @@ def test_escape_cache_changes_nothing():
                     for (labels, _), (expected, _) in zip(runs, alone):
                         npt.assert_array_equal(labels, expected)
                 checked += 1
-            assert shared.escapes
+            assert shared.settled
     assert checked == 2 * (10 + 10 + 1 + 7 * 2 * 2)
 
 
@@ -653,43 +706,74 @@ def test_escape_pass_reuses_its_result(monkeypatch):
     g = cc.load_karate()
     crit = cc.indetermination_criterion()
     sg = louvain_module._SearchGraph(g, crit)
-    visits = []
-    best_move = louvain_module._best_move
-
-    def counted(*args, **kwargs):
-        visits.append(1)
-        return best_move(*args, **kwargs)
-
-    monkeypatch.setattr(louvain_module, "_best_move", counted)
     escape = louvain_module._escape_pass
-    labels = np.arange(g.n) % 3
+    labels = louvain_module._canonical(np.arange(g.n) % 3)
     first, improved = escape(sg, labels)
-    assert visits and not first.flags.writeable
-    # the same partition under other class ids is not computed again: the
-    # key is the canonical starting labels alone
-    visits.clear()
-    again, improved_again = escape(sg, (labels + 2) % 3 + 7)
-    assert not visits
-    assert again is first and improved_again == improved
-    assert list(sg.escapes) == [louvain_module._canonical(labels).tobytes()]
-    # a search graph built for the other criterion computes its own pass
-    other = louvain_module._SearchGraph(g, cc.independence_criterion())
-    escape(other, labels)
-    assert visits and len(other.escapes) == len(sg.escapes) == 1
+    assert not first.flags.writeable
+    # the pass is pure: it records nothing, and the same start gives the
+    # same result
+    again, improved_again = escape(sg, labels.copy())
+    npt.assert_array_equal(again, first)
+    assert improved_again == improved and not sg.settled
 
-    # an 8-restart race calls the pass more often than it computes one
-    computed = []
+    # an 8-restart race computes the pass once per settled partition, from
+    # that partition, and keeps its result under it
+    starts = []
 
-    def tallied(*args):
-        before = len(visits)
-        result = escape(*args)
-        computed.append(len(visits) > before)
-        return result
+    def tallied(search, start):
+        assert search is sg
+        starts.append(start.tobytes())
+        return escape(search, start)
 
     monkeypatch.setattr(louvain_module, "_escape_pass", tallied)
-    sg = louvain_module._SearchGraph(g, crit)
     louvain_module._race(sg, np.random.default_rng(0).spawn(8))
-    assert sum(computed) == len(sg.escapes) < len(computed)
+    assert starts and sorted(starts) == sorted(sg.settled)
+    for key, (result, improved) in sg.settled.items():
+        expected, expected_improved = escape(sg, np.frombuffer(key, dtype=np.int64))
+        npt.assert_array_equal(result, expected)
+        assert improved == expected_improved
+
+
+def small_pool(seed: int):
+    """28 unit-weight graphs with n = 4 + k % 7 nodes and an edge
+    probability from [0.2, 0.9] in four bands, each redrawn until its last
+    node has an edge."""
+    rng = np.random.default_rng([seed, 2])
+    for k in range(28):
+        eps = 0.2 + 0.7 * (k // 7 + rng.uniform()) / 4
+        n = 4 + k % 7
+        iu, iv = np.triu_indices(n, 1)
+        while True:
+            keep = rng.random(iu.size) < eps
+            if keep[iv == n - 1].any():
+                break
+        edges = zip(iu[keep].tolist(), iv[keep].tolist())
+        yield cc.WeightedGraph.from_edges(n, [(i, j, 1.0) for i, j in edges])
+
+
+def test_settled_partitions_cut_the_move_phases(monkeypatch):
+    # A work count, not a timing: the move phases two fixed pools run
+    # under both criteria. Restarts stop at the partitions that an earlier
+    # restart of their race settled at; without that the counts are 1029
+    # and 2003.
+    phases = []
+    run_passes = louvain_module._run_passes
+
+    def counted(*args):
+        phases.append(1)
+        return run_passes(*args)
+
+    monkeypatch.setattr(louvain_module, "_run_passes", counted)
+    karate = cc.load_karate()
+    for crit in CRITERIA:
+        for seed in range(10):
+            cc.louvain(karate, crit, cc.LouvainConfig(seed=seed))
+    assert len(phases) == 711
+    phases.clear()
+    for seed, g in enumerate(small_pool(31)):
+        for crit in CRITERIA:
+            cc.louvain(g, crit, cc.LouvainConfig(seed=seed))
+    assert len(phases) == 946
 
 
 # Fixed Gilbert graphs around the stored-entry count from which the restarts

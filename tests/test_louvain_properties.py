@@ -19,6 +19,7 @@ from coupleclust.louvain import (
     _ESCAPE_CAP,
     _Level,
     _SearchGraph,
+    _canonical,
     _check_graph,
     _score_labels,
     _stored_entries,
@@ -234,3 +235,19 @@ def test_louvain_optimality_above_escape_cap(criterion):
             for other in neighbours(part.labels, part.k):
                 moved = cc.global_score(g, criterion, cc.Partition.from_labels(other))
                 assert moved <= bound, (g.n, other, moved, score)
+
+
+@PROPERTY
+@given(st.integers(1, 4000), st.data())
+def test_canonical_relabels_like_a_sort(n, data):
+    # The lookup-table relabeling against a sort-based reference, on labels
+    # in [0, n): k classes with ids spread over the whole range.
+    k = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    labels = rng.permutation(n)[:k][rng.integers(0, k, size=n)]
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    expected = np.argsort(np.argsort(first))[inverse]
+    got = _canonical(labels)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(_canonical(labels.tolist()), expected)
