@@ -68,7 +68,7 @@ from .coupling import (
     validate_margin,
 )
 from .data import load_karate
-from .errors import CoupleclustError
+from .errors import CoupleclustError, _json_object
 from .graph import (
     empirical_bias_difference_histogram,
     empirical_bias_histogram,
@@ -133,24 +133,13 @@ def _emit(args, result: dict | str, elapsed_s: float) -> None:
         sys.stdout.write(result)
 
 
-def _load_json_file(path: str) -> dict:
-    """The JSON object in ``path``: any other JSON value, a list or a
-    number, say, is rejected with :class:`ValueError`."""
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise ValueError(f"{path} must hold a JSON object, got {type(data).__name__}")
-    return data
-
-
 def _read_margins(path: str) -> tuple[Margin, Margin]:
-    data = _load_json_file(path)
-    if "mu" not in data or "nu" not in data:
-        raise ValueError("margins file must contain 'mu' and 'nu' arrays")
+    data = _json_object(json.loads(Path(path).read_text()), ("mu", "nu"), path)
     return validate_margin(data["mu"]), validate_margin(data["nu"])
 
 
 def _read_joint(path: str) -> JointDistribution:
-    return JointDistribution.from_json_dict(_load_json_file(path))
+    return JointDistribution.from_json(Path(path).read_text())
 
 
 def _input_graph(args):

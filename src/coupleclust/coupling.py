@@ -34,11 +34,11 @@ from .errors import (
     ConditionHViolated,
     DimensionMismatch,
     NegativeEntry,
-    NonFiniteEntry,
     SumNotOne,
     _as_count,
+    _as_finite_reals,
     _as_generator,
-    _as_reals,
+    _json_object,
 )
 
 __all__ = [
@@ -71,14 +71,10 @@ CONDITION_H_SLACK = 1e-12
 
 
 def _probabilities(values, ndim: int, what: str, slack: float = 0.0) -> np.ndarray:
-    """``values`` as a float array, checked in this order: numbers only, as
-    :func:`~coupleclust.errors._as_reals` rules, nonempty with ``ndim``
-    dimensions, every entry finite, none below ``-slack``."""
-    arr = _as_reals(values, what)
-    if arr.ndim != ndim or arr.size == 0:
-        raise DimensionMismatch(f"{what} must form a nonempty {ndim}-d array")
-    if not np.isfinite(arr).all():
-        raise NonFiniteEntry(f"{what} must be finite")
+    """``values`` as a finite float array with ``ndim`` dimensions, as
+    :func:`~coupleclust.errors._as_finite_reals` checks, then none below
+    ``-slack``."""
+    arr = _as_finite_reals(values, ndim, what)
     low = float(arr.min())
     if low < -slack:
         raise NegativeEntry(f"{what} must be nonnegative, got minimum {low!r}")
@@ -113,7 +109,7 @@ class Margin(Record):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Margin":
-        return validate_margin(data["probs"])
+        return validate_margin(_json_object(data, ("probs",), "margin")["probs"])
 
     @classmethod
     def from_json(cls, text: str) -> "Margin":
@@ -214,9 +210,7 @@ class JointDistribution(Record):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "JointDistribution":
-        missing = [key for key in ("p", "q", "cells") if key not in data]
-        if missing:
-            raise ValueError(f"joint must contain 'p', 'q' and 'cells'; missing {missing}")
+        _json_object(data, ("p", "q", "cells"), "joint")
         pi = cls.from_cells(data["cells"])
         if pi.cells.shape != (_as_count(data["p"], "p"), _as_count(data["q"], "q")):
             raise DimensionMismatch(

@@ -177,6 +177,30 @@ def _as_reals(values, what: str) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
+def _as_finite_reals(values, ndim: int, what: str) -> np.ndarray:
+    """``values`` as a float array, checked in this order: numbers only, as
+    :func:`_as_reals` rules, nonempty with ``ndim`` dimensions
+    (:class:`DimensionMismatch`), every entry finite
+    (:class:`NonFiniteEntry`)."""
+    arr = _as_reals(values, what)
+    if arr.ndim != ndim or arr.size == 0:
+        raise DimensionMismatch(f"{what} must form a nonempty {ndim}-d array")
+    if not np.isfinite(arr).all():
+        raise NonFiniteEntry(f"{what} must be finite")
+    return arr
+
+
+def _json_object(data, keys: tuple[str, ...], what: str) -> dict:
+    """``data``, a decoded JSON value, if it is an object holding ``keys``;
+    otherwise :class:`ValueError` naming ``what`` and the problem."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must hold a JSON object, got {type(data).__name__}")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ValueError(f"{what} must contain the keys {list(keys)}; missing {missing}")
+    return data
+
+
 def _as_integers(values, what: str) -> np.ndarray:
     """``values`` as an array, if its dtype is an integer type (an empty
     array passes whatever its dtype); otherwise :class:`ValueError`."""

@@ -48,14 +48,14 @@ degree mass, size) without touching individual pairs; the
 form. Scoring a partition is a few vectorized passes over the nnz stored
 weights and the n nodes, O(nnz + n log n) with no per-class Python loop;
 building a level, the class graph of a partition, is one sort of the nnz
-class-pair codes. Local moving is queue-driven: after the first visit of
-every node, only the neighbours of moved nodes are visited again. One
-visit costs a dict pass over the node's neighbours, three block calls that
-give the node's linear coefficients, and a few multiply-adds per
-neighbouring class. A merge or refinement visit at which no neighbouring
-class gains may also scan all k classes, O(k), unless an exact bound shows
-that no class without an edge to the node can gain (under independence,
-always).
+class-pair codes into CSR arrays, the graph's own format, 16 bytes per
+stored entry. Local moving is queue-driven: after the first visit of every
+node, only the neighbours of moved nodes are visited again. One visit
+costs a pass over the node's CSR row, three block calls that give the
+node's linear coefficients, and a few multiply-adds per neighbouring
+class. A merge or refinement visit at which no neighbouring class gains
+may also scan all k classes, O(k), unless an exact bound shows that no
+class without an edge to the node can gain (under independence, always).
 """
 
 from __future__ import annotations
@@ -307,21 +307,19 @@ class _SearchGraph:
     Built once per call and shared by every restart, level and the
     fallback: the criterion, the rounding tolerance ``tol`` that
     :func:`_check_graph` derives here (so a graph the criterion cannot
-    score raises here), the stored entries as flat arrays for scoring, and
-    the singleton level's lists for the move phases, and the singletons'
-    score, where every run's trace starts. None of these is ever mutated;
-    the one exception is ``settled``, which fills as the restarts run (each
-    forked worker fills its own copy). Its keys are the canonical labels of
-    the partitions at which a :func:`_polish` iteration's merge and
-    refinement phases both moved nothing; each value is the
-    :func:`_escape_pass` result from there, ``(labels, improved)``, or
-    ``(labels, False)`` on a graph above ``_ESCAPE_CAP`` nodes, where no
+    score raises here), the stored entries as flat arrays for scoring, the
+    singleton level's CSR (``csr``) and lists for the move phases, and the
+    singletons' score, where every run's trace starts. None of these is
+    ever mutated; the one exception is ``settled``, which fills as the
+    restarts run (each forked worker fills its own copy). Its keys are the
+    canonical labels of the partitions at which a :func:`_polish`
+    iteration's merge and refinement phases both moved nothing; each value
+    is the :func:`_escape_pass` result from there, ``(labels, improved)``,
+    or ``(labels, False)`` on a graph above ``_ESCAPE_CAP`` nodes, where no
     escape pass runs.
     """
 
-    __slots__ = (
-        "g", "criterion", "tol", "entries", "adj", "deg", "size", "lone_score", "settled"
-    )
+    __slots__ = ("g", "criterion", "tol", "entries", "csr", "deg", "size", "lone_score", "settled")
 
     def __init__(self, g: WeightedGraph, criterion: LocalCriterion):
         self.tol = _check_graph(g, criterion)
@@ -329,7 +327,7 @@ class _SearchGraph:
         self.criterion = criterion
         self.entries = _stored_entries(g)
         lone = _Level.of_classes(self, np.arange(g.n))
-        self.adj, self.deg, self.size = lone.adj, lone.deg, lone.size
+        self.csr, self.deg, self.size = (lone.indptr, lone.indices, lone.data), lone.deg, lone.size
         self.lone_score = self.score(np.arange(g.n))
         self.settled: dict[bytes, tuple[np.ndarray, bool]] = {}
 
@@ -356,31 +354,34 @@ def _canonical(labels) -> np.ndarray:
 
 
 class _Level:
-    """Mutable state of one move phase, as plain Python lists.
+    """Mutable state of one move phase.
 
     Super-node attributes (degree mass, size) are sums over the original
     nodes they contain; ``n`` and ``two_m`` always refer to the original
-    graph, since the criteria normalize by them. ``adj`` holds the weight
-    between distinct super-nodes only: a super-node carries its inner pairs
-    wherever it moves. ``adj``, ``deg`` and ``size`` are read-only; the
-    phases update ``labels`` and the per-class lists ``cls_deg`` and
-    ``cls_size``, which grow by a slot when a node opens a fresh class.
+    graph, since the criteria normalize by them. ``indptr``, ``indices``
+    and ``data`` hold the super-node graph as CSR, rows ascending, between
+    distinct super-nodes only (a super-node carries its inner pairs wherever
+    it moves): memoryviews of read-only arrays, whose row slices copy
+    nothing and yield Python ints and floats. They, ``deg`` and ``size`` are
+    read-only; the phases update ``labels`` and the per-class lists
+    ``cls_deg`` and ``cls_size``, which grow by a slot when a node opens a
+    fresh class.
     """
 
-    __slots__ = ("adj", "deg", "size", "labels", "cls_deg", "cls_size")
+    __slots__ = ("indptr", "indices", "data", "deg", "size", "labels", "cls_deg", "cls_size")
 
-    def __init__(self, adj, deg, size):
-        self.adj: list[dict[int, float]] = adj
+    def __init__(self, csr, deg, size):
+        self.indptr, self.indices, self.data = csr
         self.deg: list[float] = deg
         self.size: list[float] = size
-        self.labels = list(range(len(adj)))
+        self.labels = list(range(len(deg)))
         self.cls_deg = list(deg)
         self.cls_size = list(size)
 
     @classmethod
     def from_partition(cls, sg: _SearchGraph, labels: np.ndarray) -> "_Level":
         """Original-resolution state starting from canonical ``labels``."""
-        level = cls(sg.adj, sg.deg, sg.size)
+        level = cls(sg.csr, sg.deg, sg.size)
         level.labels = labels.tolist()
         level.cls_deg, level.cls_size = sg.class_totals(labels)
         return level
@@ -389,17 +390,18 @@ class _Level:
     def of_classes(cls, sg: _SearchGraph, labels: np.ndarray) -> "_Level":
         """The class graph of canonical ``labels``, every class a lone
         super-node: the weight between two classes is the sum of the stored
-        entries between them, in O(nnz log nnz)."""
+        entries between them, in O(nnz log nnz). For the identity labels
+        that is the graph's own CSR without its diagonal."""
         k = int(labels.max()) + 1
         rows, cols, vals = sg.entries
         a, b = labels[rows], labels[cols]
         off = a != b
         codes, pair = np.unique(a[off] * k + b[off], return_inverse=True)
-        w = np.bincount(pair, weights=vals[off], minlength=codes.size).tolist()
-        bounds = np.searchsorted(codes, np.arange(k + 1) * k).tolist()
-        ends = (codes % k).tolist()
-        adj = [dict(zip(ends[lo:hi], w[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
-        return cls(adj, *sg.class_totals(labels))
+        w = np.bincount(pair, weights=vals[off], minlength=codes.size)
+        csr = np.searchsorted(codes, np.arange(k + 1) * k), codes % k, w
+        for arr in csr:
+            arr.flags.writeable = False
+        return cls(tuple(map(memoryview, csr)), *sg.class_totals(labels))
 
 
 def _best_move(
@@ -447,7 +449,8 @@ def _best_move(
     s = level.size[node]
     w_by_class: dict[int, float] = {}
     get = w_by_class.get
-    for j, w in level.adj[node].items():
+    lo, hi = level.indptr[node], level.indptr[node + 1]
+    for j, w in zip(level.indices[lo:hi], level.data[lo:hi]):
         c = labels[j]
         w_by_class[c] = get(c, 0.0) + w
     cw = block(1.0, d, 0.0, s, 0.0, n, two_m)
@@ -535,7 +538,7 @@ def _run_passes(
     non-neighbours price; a polish phase that moves nothing does, since it
     visited every node and priced every class.
     """
-    m = len(level.adj)
+    m = len(level.deg)
     g = sg.g
     block = sg.criterion.block_evaluator
     tol = sg.tol
@@ -560,7 +563,7 @@ def _run_passes(
             moves += 1
             last = b
             s_max = max(s_max, cls_size[b])
-            for j in level.adj[node]:
+            for j in level.indices[level.indptr[node] : level.indptr[node + 1]]:
                 if not queued[j] and labels[j] != b:
                     queued[j] = True
                     queue.append(j)
@@ -693,7 +696,7 @@ def _single_run(sg: _SearchGraph, rng: np.random.Generator) -> tuple[np.ndarray,
     improve: the next level's phase prices a subset of the candidates that
     the merge phase found no gain in, so it would move nothing, and the
     polish returns there at once."""
-    level = _Level(sg.adj, sg.deg, sg.size)
+    level = _Level(sg.csr, sg.deg, sg.size)
     node_map = np.arange(sg.g.n)
     trace = [sg.lone_score]
 
@@ -701,7 +704,7 @@ def _single_run(sg: _SearchGraph, rng: np.random.Generator) -> tuple[np.ndarray,
         _run_passes(sg, level, node_map, rng, trace)
         labels = _canonical(np.asarray(level.labels)[node_map])
         settled = sg.settled.get(labels.tobytes())
-        if labels.max() + 1 == len(level.adj) or (settled is not None and not settled[1]):
+        if labels.max() + 1 == len(level.deg) or (settled is not None and not settled[1]):
             break
         node_map = labels
         level = _Level.of_classes(sg, node_map)
@@ -879,12 +882,6 @@ def _partition_level(t: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, parent
 
 
-def _restricted_growth_strings(n: int) -> np.ndarray:
-    """All set partitions of n items as canonical label rows, first row the
-    single-class partition."""
-    return _partition_level(n - 1)[0]
-
-
 def exhaustive_best_partition(
     g: WeightedGraph, criterion: LocalCriterion
 ) -> tuple[Partition, float]:
@@ -923,7 +920,7 @@ def exhaustive_best_partition(
     # Row 0, the single class, sums every pair: exactly 0 by the zero-sum
     # identity, where the float sum leaves rounding noise of either sign.
     scores[0] = 0.0
-    rows = _restricted_growth_strings(n)
+    rows = _partition_level(n - 1)[0]
     top = scores.max()
     best = int(np.flatnonzero(scores >= top - tol)[0])
     return Partition.from_labels(rows[best].astype(np.int64)), float(scores[best])

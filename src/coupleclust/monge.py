@@ -33,11 +33,9 @@ from .coupling import (
     indetermination_cells,
 )
 from .errors import (
-    DimensionMismatch,
     InconsistentTheorem,
-    NonFiniteEntry,
     NonPositiveEntry,
-    _as_reals,
+    _as_finite_reals,
     _as_tolerance,
 )
 
@@ -56,25 +54,13 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 
 
-def _as_matrix(c) -> np.ndarray:
-    """``c`` as a float matrix: real numbers only, as
-    :func:`~coupleclust.errors._as_reals` rules, nonempty and 2-d, every
-    entry finite."""
-    arr = _as_reals(c, "matrix entries")
-    if arr.ndim != 2 or arr.size == 0:
-        raise DimensionMismatch("expected a nonempty 2-d matrix")
-    if not np.isfinite(arr).all():
-        raise NonFiniteEntry("matrix entries must be finite")
-    return arr
-
-
 def adjacent_sum_residuals(c) -> np.ndarray:
     """Residuals ``c[u,v] + c[u+1,v+1] - c[u+1,v] - c[u,v+1]``.
 
     Shape (p-1, q-1); empty when the matrix has a single row or column, in
     which case every Monge predicate holds vacuously.
     """
-    arr = _as_matrix(c)
+    arr = _as_finite_reals(c, 2, "matrix entries")
     return arr[:-1, :-1] + arr[1:, 1:] - arr[1:, :-1] - arr[:-1, 1:]
 
 
@@ -121,7 +107,7 @@ def is_full_log_monge(c, tol: float = DEFAULT_TOL) -> bool:
         If any entry is <= 0 (the class is only defined for positive
         matrices).
     """
-    arr = _as_matrix(c)
+    arr = _as_finite_reals(c, 2, "matrix entries")
     if float(arr.min()) <= 0.0:
         raise NonPositiveEntry("full-log-Monge requires strictly positive entries")
     return is_full_monge(np.log(arr), tol)
@@ -147,7 +133,7 @@ class MongeReport(Record):
 
 def monge_report(c, tol: float = DEFAULT_TOL) -> MongeReport:
     """Evaluate all four predicates on one matrix."""
-    arr = _as_matrix(c)
+    arr = _as_finite_reals(c, 2, "matrix entries")
     positive, negative = _max_residual(arr)
     cut = _cut(arr, tol)
     if float(arr.min()) > 0.0:

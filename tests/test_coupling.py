@@ -360,6 +360,22 @@ def test_joint_json_round_trip():
             cc.JointDistribution.from_json_dict(data)
 
 
+@pytest.mark.parametrize(
+    "record, text, problem",
+    [
+        (cc.Margin, "{}", r"^margin must contain .*; missing \['probs'\]"),
+        (cc.Margin, "5", "^margin must hold a JSON object, got int"),
+        (cc.Margin, "[0.5, 0.5]", "^margin must hold a JSON object, got list"),
+        (cc.JointDistribution, '"pqcells"', "^joint must hold a JSON object, got str"),
+        (cc.JointDistribution, '{"q": 1, "cells": [[1.0]]}', r"^joint must .*; missing \['p'\]"),
+    ],
+)
+def test_json_readers_want_an_object_holding_their_keys(record, text, problem):
+    # not a KeyError or a TypeError from indexing the wrong JSON value
+    with pytest.raises(ValueError, match=problem):
+        record.from_json(text)
+
+
 def test_from_cells_rejections_and_dust():
     with pytest.raises(cc.NegativeEntry):
         cc.JointDistribution.from_cells(np.array([[0.6, 0.5], [-0.1, 0.0]]))

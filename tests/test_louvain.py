@@ -184,11 +184,11 @@ def test_louvain_empty_graph_errors():
 
 def test_exhaustive_partition_counts_are_bell_numbers():
     # the oracle's enumeration must produce exactly the Bell numbers
-    from coupleclust.louvain import _restricted_growth_strings
+    from coupleclust.louvain import _partition_level
 
     for n, count in BELL.items():
-        assert _restricted_growth_strings(n).shape[0] == count
-    assert _restricted_growth_strings(10).shape[0] == 115975
+        assert _partition_level(n - 1)[0].shape[0] == count
+    assert _partition_level(9)[0].shape[0] == 115975
 
 
 def test_exhaustive_oracle_on_tiny_graphs():
@@ -213,12 +213,12 @@ def test_exhaustive_oracle_on_tiny_graphs():
 def test_exhaustive_ties_go_to_earliest_partition():
     # Several partitions of this graph share the optimum in exact
     # arithmetic, but their float sums differ in the last bits.
-    from coupleclust.louvain import _check_graph, _restricted_growth_strings
+    from coupleclust.louvain import _check_graph, _partition_level
 
     g = cc.WeightedGraph.from_edges(
         6, [(0, 1, 1.0), (0, 3, 1.0), (0, 4, 1.0), (2, 3, 1.0), (2, 4, 1.0), (4, 5, 1.0)]
     )
-    rows = _restricted_growth_strings(g.n)
+    rows = _partition_level(g.n - 1)[0]
     for crit in (cc.independence_criterion(), cc.indetermination_criterion()):
         scores = np.array([brute_force_score(g, crit, row) for row in rows])
         top = scores.max()
@@ -290,7 +290,7 @@ def oracle_pool():
 def test_exhaustive_matches_the_pairwise_reference():
     rows = {n: pairwise_rows(n) for n in range(1, 11)}
     for n in range(1, 11):
-        assert np.array_equal(louvain_module._restricted_growth_strings(n), rows[n])
+        assert np.array_equal(louvain_module._partition_level(n - 1)[0], rows[n])
     checked = 0
     for g in oracle_pool():
         for crit in (cc.independence_criterion(), cc.indetermination_criterion()):
@@ -393,6 +393,39 @@ def test_louvain_isolated_nodes_cost_linear_memory():
         tracemalloc.stop()
     assert result.partition.k == 2
     assert peak < 16 * 2**20
+
+
+def test_search_graph_memory_per_stored_entry():
+    # The search object keeps the singleton level as CSR arrays, 16 bytes
+    # per stored entry plus the scorer's row array and per-node lists, about
+    # 31 bytes per entry in all; a Python object per entry breaks the bound.
+    g = cc.gilbert(20000, 5e-4, rng=1)
+    tracemalloc.start()
+    try:
+        sg = louvain_module._SearchGraph(g, cc.indetermination_criterion())
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(sg.csr[1]) == g.indices.size  # a Gilbert graph has no self-loop
+    assert held <= 60 * g.indices.size
+
+
+def test_singleton_level_is_the_graph_csr_without_its_diagonal():
+    from coupleclust.louvain import _Level, _SearchGraph
+
+    g = cc.WeightedGraph.from_edges(
+        6, [(0, 0, 2.0), (0, 1, 1.5), (1, 3, 0.25), (3, 3, 1.0), (2, 4, 3.0), (4, 0, 0.1)]
+    )
+    sg = _SearchGraph(g, cc.indetermination_criterion())
+    level = _Level.of_classes(sg, np.arange(g.n))
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    off = rows != g.indices
+    npt.assert_array_equal(level.indptr, np.searchsorted(rows[off], np.arange(g.n + 1)))
+    npt.assert_array_equal(level.indices, g.indices[off])
+    npt.assert_array_equal(level.data, g.data[off])
+    assert level.indptr.readonly and level.indices.readonly and level.data.readonly
+    assert level.labels == list(range(g.n))
+    assert (level.deg, level.size) == (g.degrees.tolist(), [1.0] * g.n)
 
 
 PLATEAU = cc.WeightedGraph.from_edges(
@@ -508,10 +541,11 @@ def random_level(rng, m=40, k=12):
 
     upper = np.triu(rng.uniform(0.1, 3.0, (m, m)) * (rng.random((m, m)) < 0.05), 1)
     a = upper + upper.T
-    adj = [{j: float(a[i, j]) for j in np.flatnonzero(a[i])} for i in range(m)]
+    rows, cols = np.nonzero(a)
+    csr = tuple(map(memoryview, (np.searchsorted(rows, np.arange(m + 1)), cols, a[rows, cols])))
     self_w = rng.uniform(0.0, 4.0, m).tolist()
     deg = (a.sum(axis=1) + self_w).tolist()
-    level = _Level(adj, deg, rng.integers(1, 6, m).astype(float).tolist())
+    level = _Level(csr, deg, rng.integers(1, 6, m).astype(float).tolist())
     level.labels = rng.choice(rng.permutation(m)[:k], size=m).tolist()
     level.cls_deg, level.cls_size = [0.0] * m, [0.0] * m
     for i, c in enumerate(level.labels):
@@ -520,13 +554,19 @@ def random_level(rng, m=40, k=12):
     return level
 
 
+def level_row(level, node):
+    """The ``(neighbour, weight)`` pairs of ``node``'s row in the level's CSR."""
+    lo, hi = level.indptr[node], level.indptr[node + 1]
+    return zip(level.indices[lo:hi], level.data[lo:hi])
+
+
 def reference_best_move(level, node, block, n, two_m, classes=None):
     """Every candidate priced with the block formula itself; the first
     maximum wins."""
     labels = level.labels
     a, d, s = labels[node], level.deg[node], level.size[node]
     w = {}
-    for j, wj in level.adj[node].items():
+    for j, wj in level_row(level, node):
         w[labels[j]] = w.get(labels[j], 0.0) + wj
     base = block(w.get(a, 0.0), d, level.cls_deg[a] - d, s, level.cls_size[a] - s, n, two_m)
     if classes is None:
@@ -553,7 +593,7 @@ def reference_polish_gains(level, node, block, n, two_m):
     labels = level.labels
     a, d, s = labels[node], level.deg[node], level.size[node]
     w = {}
-    for j, wj in level.adj[node].items():
+    for j, wj in level_row(level, node):
         w[labels[j]] = w.get(labels[j], 0.0) + wj
     base = block(w.get(a, 0.0), d, level.cls_deg[a] - d, s, level.cls_size[a] - s, n, two_m)
     gains = {a: 0.0}
@@ -578,7 +618,7 @@ def test_best_move_matches_block_formula_reference(criterion):
         nonempty = [c for c, size in enumerate(level.cls_size) if size > 0]
         tol = 1e-12 * abs(block(two_m, 0.0, 0.0, 0.0, 0.0, n, two_m))  # as _check_graph
         s_max = max(level.cls_size)
-        for node in range(len(level.adj)):
+        for node in range(len(level.deg)):
             for classes in (None, nonempty):
                 gain, b = _best_move(level, node, block, n, two_m, classes)
                 ref_gain, ref_b = reference_best_move(level, node, block, n, two_m, classes)
@@ -601,7 +641,7 @@ def test_best_move_matches_block_formula_reference(criterion):
             assert (gain > tol) == (top > tol)
             assert gain <= top + close and abs(ref[b] - gain) <= close
             best = max(ref, key=ref.get)
-            near = {level.labels[j] for j in level.adj[node]} | {last}
+            near = {level.labels[j] for j, _ in level_row(level, node)} | {last}
             far += top > tol and level.cls_size[best] > 0 and best not in near
     assert moved > 100 and fresh > 10
     assert far > 0 if criterion.kind == "indetermination" else far == 0

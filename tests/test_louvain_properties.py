@@ -156,10 +156,15 @@ def test_class_graph_matches_pair_loop(case):
     level = _Level.of_classes(_SearchGraph(g, cc.indetermination_criterion()), part.labels)
     assert level.labels == list(range(part.k))
     assert (level.deg, level.size) == (deg, size)
-    assert [sorted(row) for row in level.adj] == [sorted(row) for row in adj]
-    for got, want in zip(level.adj, adj):
+    # each CSR row holds its neighbour classes in ascending order
+    got = [
+        dict(zip(level.indices[lo:hi], level.data[lo:hi]))
+        for lo, hi in zip(level.indptr, level.indptr[1:])
+    ]
+    assert [list(row) for row in got] == [sorted(row) for row in adj]
+    for row, want in zip(got, adj):
         for e, w in want.items():
-            assert abs(got[e] - w) <= 1e-12 * w
+            assert abs(row[e] - w) <= 1e-12 * w
 
 
 @PROPERTY
