@@ -1,4 +1,5 @@
-"""Shared Monte-Carlo plumbing: deterministic substreams and the worker cap.
+"""Shared Monte-Carlo plumbing: deterministic substreams, the worker cap
+and the one thread map.
 
 Samplers that accept ``n_streams`` split their draw budget over that many
 independent generators spawned from the master seed, then merge the
@@ -7,9 +8,19 @@ per-stream outputs in stream order. Results therefore depend on
 pool never changes a byte.
 
 :func:`thread_cap`, the number of CPUs this process may use, bounds every
-parallel path of the package: streams run on ``min(n_streams, thread_cap())``
-threads (on the calling thread when that is 1), and the Louvain restarts
-race on at most that many forked processes. It has no setting.
+parallel path of the package, and three paths run in parallel:
+
+* sampler streams run through :func:`_starmap` on
+  ``min(n_streams, thread_cap())`` threads;
+* a Gilbert draw (:func:`coupleclust.gilbert`) runs its pair segments
+  through :func:`_starmap`, each segment from its own offset of the
+  caller's one random stream, so the graph never depends on the thread
+  count;
+* the Louvain restarts race on at most ``thread_cap()`` forked processes.
+
+:func:`_starmap` runs on the calling thread when it gets one worker, and
+joins its pool before it returns, so no thread outlives a call. The cap
+has no setting.
 """
 
 from __future__ import annotations
@@ -47,6 +58,18 @@ def split_counts(total: int, n_streams: int) -> list[int]:
     return [base + (1 if k < extra else 0) for k in range(n_streams)]
 
 
+def _starmap(fn: Callable[..., object], args: list[tuple]) -> list:
+    """``[fn(*a) for a in args]``, on ``min(len(args), thread_cap())``
+    threads (on the calling thread when that is 1). Every thread is joined
+    before this returns."""
+    workers = min(len(args), thread_cap())
+    if workers <= 1:
+        return [fn(*a) for a in args]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, *a) for a in args]
+        return [f.result() for f in futures]
+
+
 def run_streams(
     sample: Callable[[np.random.Generator, int], object],
     total: int,
@@ -54,14 +77,8 @@ def run_streams(
     n_streams: int,
 ) -> list:
     """Run ``sample(generator, count)`` once per stream of
-    :func:`_substreams`, on ``min(streams, thread_cap())`` threads, and
-    return the results in stream order."""
+    :func:`_substreams`, through :func:`_starmap`, and return the results
+    in stream order."""
     rng = _as_generator(rng)
     counts = split_counts(total, n_streams)
-    gens = _substreams(rng, len(counts))
-    workers = min(len(counts), thread_cap())
-    if workers <= 1:
-        return [sample(g, m) for g, m in zip(gens, counts)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(sample, g, m) for g, m in zip(gens, counts)]
-        return [f.result() for f in futures]
+    return _starmap(sample, list(zip(_substreams(rng, len(counts)), counts)))

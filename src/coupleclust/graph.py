@@ -350,13 +350,19 @@ def gilbert(
     edge of weight 1 independently with probability ``eps``. No self-loops.
 
     One uniform is drawn per pair in upper-triangle row-major order, which
-    fixes the seed-to-graph mapping. The uniforms are drawn in fixed-size
-    blocks of pairs, so memory is O(n + m) for m edges.
+    fixes the seed-to-graph mapping. On a PCG64 or PCG64DXSM generator (the
+    :func:`numpy.random.default_rng` type) the pairs are split into one
+    contiguous segment per usable CPU, and each segment draws on its own
+    thread from its own offset of the same stream, so the graph and the
+    generator's final state are those of one sequential draw whatever the
+    thread count. Uniforms are drawn in fixed-size blocks into one reused
+    buffer per thread, so memory is O(n + m + threads * _PAIR_BLOCK) for
+    m edges.
     """
     n = _as_count(n, "n")
     _check_eps(eps)
     rng = _as_generator(rng)
-    return _upper_triangle_graph(n, lambda k: rng.random(k) < eps)
+    return _upper_triangle_graph(n, rng, lambda gen, u: gen.random(out=u) < eps, seekable=True)
 
 
 def gilbert_weighted(
@@ -370,40 +376,85 @@ def gilbert_weighted(
 
     ``max_weight=1`` reduces to the same edge distribution as
     :func:`gilbert` (though the two consume the random stream differently).
-    Pairs are drawn in the same order and blocks as in :func:`gilbert`, so
-    a seed always gives the same graph; memory is O(n + m) for m edges.
+    Pairs are drawn in the same order and blocks as in :func:`gilbert`, on
+    the calling thread (a binomial draw takes a variable number of outputs,
+    so no pair's offset in the stream is known in advance); a seed always
+    gives the same graph, and memory is O(n + m + _PAIR_BLOCK) for m edges.
     """
     n, max_weight = _as_count(n, "n"), _as_count(max_weight, "max_weight")
     _check_eps(eps)
     rng = _as_generator(rng)
-    return _upper_triangle_graph(n, lambda k: rng.binomial(max_weight, eps, size=k))
+    return _upper_triangle_graph(n, rng, lambda gen, u: gen.binomial(max_weight, eps, size=u.size))
 
 
-def _upper_triangle_graph(n: int, draw) -> WeightedGraph:
+def _upper_triangle_graph(
+    n: int, rng: np.random.Generator, draw, seekable: bool = False
+) -> WeightedGraph:
     """Graph whose pair (i, j), i < j, has weight ``v[p]`` at the pair's
     index ``p`` in upper-triangle row-major order, where ``v`` is the
-    concatenation of ``draw(k)`` over blocks of ``k <= _PAIR_BLOCK`` pairs.
+    concatenation of ``draw(rng, u)`` over blocks of ``len(u) <=
+    _PAIR_BLOCK`` pairs (``u`` is a float scratch block the draw may fill).
     Consecutive draws of sizes a and b consume the stream exactly as one
     draw of size a + b (true of ``Generator.random`` and
-    ``Generator.binomial``), so the graph is that of one draw over all
-    pairs, without its O(n**2) arrays: memory is O(n + m + _PAIR_BLOCK) for
-    m edges. Each nonzero's row is found by one ``searchsorted`` on the row
-    start offsets ``i(n-1) - i(i-1)/2``."""
+    ``Generator.binomial``), so the graph, and where ``rng`` is left, are
+    those of one draw over all pairs, without its O(n**2) arrays. Each
+    nonzero's row is found by one ``searchsorted`` on the row start offsets
+    ``i(n-1) - i(i-1)/2``.
+
+    The pairs are cut into ``min(thread_cap(), full blocks)`` contiguous
+    segments of whole blocks (the last takes the partial block) when
+    ``seekable`` says a draw takes exactly one 64-bit output per pair and
+    ``rng`` is a PCG64 or PCG64DXSM stream, whose ``advance(d)`` skips
+    exactly d outputs; otherwise there is one segment, drawn from ``rng``
+    itself. A segment from pair ``lo`` draws from a copy of ``rng``'s bit
+    generator advanced by ``lo``, on its own thread, into its own reused
+    scratch block; the segments are joined in order, so memory is
+    O(n + m + segments * _PAIR_BLOCK) for m edges."""
+    from ._mc import _starmap, split_counts, thread_cap
+
     i = np.arange(n, dtype=np.int64)
     starts = i * (n - 1) - i * (i - 1) // 2
     pairs = n * (n - 1) // 2
-    rows, cols, vals = [], [], []
-    # the range includes `pairs`, so n = 1 still makes one empty draw and
-    # the lists are never empty
-    for lo in range(0, pairs + 1, _PAIR_BLOCK):
-        w = draw(min(_PAIR_BLOCK, pairs - lo))
-        nz = np.flatnonzero(w)
-        flat = nz + lo
-        row = np.searchsorted(starts, flat, side="right") - 1
-        rows.append(row)
-        cols.append(flat - starts[row] + row + 1)
-        vals.append(w[nz])
-    return WeightedGraph._from_arrays(n, *map(np.concatenate, (rows, cols, vals)))
+    bg = rng.bit_generator
+    seek = seekable and isinstance(bg, (np.random.PCG64, np.random.PCG64DXSM))
+    blocks = split_counts(pairs // _PAIR_BLOCK, thread_cap() if seek else 1)
+    bounds = (np.cumsum([0, *blocks]) * _PAIR_BLOCK).tolist()
+    bounds[-1] = pairs
+
+    def segment(gen: np.random.Generator, lo: int, hi: int):
+        u = np.empty(min(_PAIR_BLOCK, hi - lo))
+        rows, cols, vals = [], [], []
+        # an empty segment (n <= 1) still makes one empty draw, so the
+        # lists are never empty
+        for a in range(lo, max(hi, lo + 1), _PAIR_BLOCK):
+            w = draw(gen, u[: min(_PAIR_BLOCK, hi - a)])
+            nz = np.flatnonzero(w)
+            flat = nz + a
+            row = np.searchsorted(starts, flat, side="right") - 1
+            rows.append(row)
+            cols.append(flat - starts[row] + row + 1)
+            vals.append(w[nz])
+        return rows, cols, vals
+
+    gens = [rng]
+    if len(bounds) > 2:
+        gens = [_advanced(bg, lo) for lo in bounds[:-1]]
+        # leave rng where one draw leaves it: `advance` also drops the
+        # buffered 32-bit half, which a draw of doubles keeps
+        half = {key: bg.state[key] for key in ("has_uint32", "uinteger")}
+        bg.state = {**bg.advance(pairs).state, **half}
+    parts = _starmap(segment, list(zip(gens, bounds, bounds[1:])))
+    return WeightedGraph._from_arrays(
+        n, *(np.concatenate([a for part in parts for a in part[c]]) for c in range(3))
+    )
+
+
+def _advanced(bg, offset: int) -> np.random.Generator:
+    """A generator on a copy of bit generator ``bg`` moved ``offset``
+    outputs ahead; ``bg`` itself does not move."""
+    copy = type(bg)()
+    copy.state = bg.state
+    return np.random.Generator(copy.advance(offset))
 
 
 def _require_edges(g: WeightedGraph) -> float:

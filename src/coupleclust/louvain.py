@@ -326,8 +326,17 @@ class _SearchGraph:
         self.g = g
         self.criterion = criterion
         self.entries = _stored_entries(g)
-        lone = _Level.of_classes(self, np.arange(g.n))
-        self.csr, self.deg, self.size = (lone.indptr, lone.indices, lone.data), lone.deg, lone.size
+        # the singleton level is the graph's CSR without its diagonal; the
+        # graph's own read-only arrays when it has no self-loop
+        rows, cols, vals = self.entries
+        csr = g.indptr, g.indices, g.data
+        off = rows != cols
+        if not off.all():
+            csr = np.searchsorted(rows[off], np.arange(g.n + 1)), cols[off], vals[off]
+            for arr in csr:
+                arr.flags.writeable = False
+        self.csr = tuple(map(memoryview, csr))
+        self.deg, self.size = self.class_totals(np.arange(g.n))
         self.lone_score = self.score(np.arange(g.n))
         self.settled: dict[bytes, tuple[np.ndarray, bool]] = {}
 

@@ -1,5 +1,6 @@
 """Tests for graphs, the two local criteria, and the bias distributions."""
 
+import importlib
 import math
 import tracemalloc
 
@@ -10,7 +11,10 @@ from scipy import sparse
 from scipy.stats import binom, chisquare
 
 import coupleclust as cc
+from coupleclust import _mc
 from coupleclust.graph import _binomial_row, _degree_rows
+
+graph_module = importlib.import_module("coupleclust.graph")
 
 
 def star3() -> cc.WeightedGraph:
@@ -337,6 +341,81 @@ def test_gilbert_blocks_match_the_row_loop(n, eps):
             assert np.array_equal(a.data, b.data)
             # the stream is left where one draw over all pairs leaves it
             assert got.bit_generator.state == ref.bit_generator.state
+
+
+SEEKABLE = (np.random.PCG64, np.random.PCG64DXSM)
+
+
+def one_draw_gilbert(n, eps, rng):
+    """Reference: the Gilbert graph of one ``random`` draw over all pairs."""
+    iu, iv = np.triu_indices(n, 1)
+    edge = rng.random(iu.size) < eps
+    return cc.WeightedGraph._from_arrays(n, iu[edge], iv[edge], edge[edge])
+
+
+@pytest.fixture
+def segments(monkeypatch):
+    """The segment count of every Gilbert draw."""
+    counts = []
+    starmap = _mc._starmap
+
+    def recorded(fn, args):
+        counts.append(len(args))
+        return starmap(fn, args)
+
+    monkeypatch.setattr(_mc, "_starmap", recorded)
+    return counts
+
+
+@pytest.mark.parametrize("cap", [2, 3])
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize(
+    "bit_generator",
+    [*SEEKABLE, np.random.MT19937, np.random.Philox, np.random.SFC64],
+    ids=lambda b: b.__name__,
+)
+def test_threaded_gilbert_is_one_draw(monkeypatch, segments, cap, block, bit_generator):
+    # Pair counts 0, 1, 3, 28 (four blocks of 7), 435 and 8128 (127 blocks
+    # of 64) put segment and block edges everywhere. Segments draw from
+    # their own offsets on PCG64 and PCG64DXSM streams only; every other
+    # bit generator runs as one segment on the calling thread.
+    monkeypatch.setattr(_mc, "thread_cap", lambda: cap)
+    monkeypatch.setattr(graph_module, "_PAIR_BLOCK", block)
+    for n in (1, 2, 3, 8, 30, 128):
+        full_blocks = n * (n - 1) // 2 // block
+        # a drawn 32-bit integer leaves half of a 64-bit output buffered,
+        # which a draw of doubles keeps
+        for buffered in (False, True):
+            got, ref = (np.random.Generator(bit_generator(n)) for _ in range(2))
+            if buffered:
+                for rng in (got, ref):
+                    rng.integers(0, 7, dtype=np.uint32)
+            segments.clear()
+            a, b = cc.gilbert(n, 0.4, rng=got), one_draw_gilbert(n, 0.4, ref)
+            threaded = bit_generator in SEEKABLE and full_blocks >= 2
+            assert segments == [min(cap, full_blocks) if threaded else 1]
+            assert np.array_equal(a.indptr, b.indptr)
+            assert np.array_equal(a.indices, b.indices)
+            assert np.array_equal(a.data, b.data)
+            # MT19937, Philox and SFC64 states hold arrays
+            npt.assert_equal(got.bit_generator.state, ref.bit_generator.state)
+
+
+def test_weighted_gilbert_draws_one_segment(monkeypatch, segments):
+    # a binomial draw takes a variable number of outputs, so no pair's
+    # offset is known in advance
+    monkeypatch.setattr(_mc, "thread_cap", lambda: 3)
+    monkeypatch.setattr(graph_module, "_PAIR_BLOCK", 7)
+    iu, iv = np.triu_indices(40, 1)
+    got, ref = np.random.default_rng(2), np.random.default_rng(2)
+    w = ref.binomial(4, 0.3, iu.size)
+    a = cc.gilbert_weighted(40, 0.3, 4, rng=got)
+    b = cc.WeightedGraph._from_arrays(40, iu[w > 0], iv[w > 0], w[w > 0])
+    assert segments == [1]
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)
+    assert got.bit_generator.state == ref.bit_generator.state
 
 
 def test_local_criteria_against_direct_formulas():

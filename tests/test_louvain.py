@@ -396,18 +396,22 @@ def test_louvain_isolated_nodes_cost_linear_memory():
 
 
 def test_search_graph_memory_per_stored_entry():
-    # The search object keeps the singleton level as CSR arrays, 16 bytes
-    # per stored entry plus the scorer's row array and per-node lists, about
-    # 31 bytes per entry in all; a Python object per entry breaks the bound.
+    # Without a self-loop the singleton level shares the graph's CSR
+    # arrays, so the search object holds the scorer's row array and the
+    # per-node lists, about 14 bytes per stored entry; a copy of the CSR or
+    # a Python object per entry breaks the bound. Building it peaks at
+    # about 33 bytes per entry, in the scorer's temporaries; sorting the
+    # entries for the singleton level breaks that bound.
     g = cc.gilbert(20000, 5e-4, rng=1)
     tracemalloc.start()
     try:
         sg = louvain_module._SearchGraph(g, cc.indetermination_criterion())
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(sg.csr[1]) == g.indices.size  # a Gilbert graph has no self-loop
-    assert held <= 60 * g.indices.size
+    assert held <= 24 * g.indices.size
+    assert peak <= 48 * g.indices.size
 
 
 def test_singleton_level_is_the_graph_csr_without_its_diagonal():
@@ -417,15 +421,17 @@ def test_singleton_level_is_the_graph_csr_without_its_diagonal():
         6, [(0, 0, 2.0), (0, 1, 1.5), (1, 3, 0.25), (3, 3, 1.0), (2, 4, 3.0), (4, 0, 0.1)]
     )
     sg = _SearchGraph(g, cc.indetermination_criterion())
-    level = _Level.of_classes(sg, np.arange(g.n))
     rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
     off = rows != g.indices
-    npt.assert_array_equal(level.indptr, np.searchsorted(rows[off], np.arange(g.n + 1)))
-    npt.assert_array_equal(level.indices, g.indices[off])
-    npt.assert_array_equal(level.data, g.data[off])
-    assert level.indptr.readonly and level.indices.readonly and level.data.readonly
-    assert level.labels == list(range(g.n))
-    assert (level.deg, level.size) == (g.degrees.tolist(), [1.0] * g.n)
+    # the search object's singleton level, built from the graph's CSR, and
+    # the class graph of the identity labels
+    for level in (_Level(sg.csr, sg.deg, sg.size), _Level.of_classes(sg, np.arange(g.n))):
+        npt.assert_array_equal(level.indptr, np.searchsorted(rows[off], np.arange(g.n + 1)))
+        npt.assert_array_equal(level.indices, g.indices[off])
+        npt.assert_array_equal(level.data, g.data[off])
+        assert level.indptr.readonly and level.indices.readonly and level.data.readonly
+        assert level.labels == list(range(g.n))
+        assert (level.deg, level.size) == (g.degrees.tolist(), [1.0] * g.n)
 
 
 PLATEAU = cc.WeightedGraph.from_edges(
@@ -833,6 +839,17 @@ def forks(g, restarts: int) -> bool:
     workers = min(restarts, _mc.thread_cap())
     sg = louvain_module._SearchGraph(g, cc.independence_criterion())
     return louvain_module._can_fork(sg, workers)
+
+
+def test_gilbert_draw_leaves_no_thread_behind(monkeypatch):
+    # the threaded Gilbert draw joins its pool, so the restarts may still
+    # race on forked workers right after it
+    monkeypatch.setattr(_mc, "thread_cap", lambda: 2)
+    before = threading.active_count()
+    g = cc.gilbert(3000, 0.003, rng=1)
+    assert threading.active_count() == before == 1
+    sg = louvain_module._SearchGraph(g, cc.independence_criterion())
+    assert louvain_module._can_fork(sg, 2) == ("fork" in multiprocessing.get_all_start_methods())
 
 
 @pytest.fixture
