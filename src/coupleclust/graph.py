@@ -77,9 +77,13 @@ def _summed_entries(n: int, rows, cols, vals: np.ndarray) -> tuple[np.ndarray, n
     summed and zeros dropped, then every weight checked finite and
     nonnegative, in that order."""
     codes = rows.astype(np.int64) * n + cols
-    order = np.argsort(codes)
-    codes, vals = codes[order], vals[order]
-    if codes.size > 1:
+    if (codes[1:] > codes[:-1]).all():
+        # already ascending without duplicates, as a Gilbert draw or a dense
+        # matrix's nonzeros come
+        vals = vals.copy()
+    else:
+        order = np.argsort(codes)
+        codes, vals = codes[order], vals[order]
         first = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
         if first.size < codes.size:
             codes, vals = codes[first], np.add.reduceat(vals, first)
@@ -91,6 +95,18 @@ def _summed_entries(n: int, rows, cols, vals: np.ndarray) -> tuple[np.ndarray, n
     if vals.size and vals.min() < 0:
         raise NegativeEntry("weights must be nonnegative")
     return codes, vals
+
+
+def _stable_order(keys: np.ndarray, n: int) -> np.ndarray:
+    """The stable sorting permutation of integers ``keys`` in ``[0, n)``:
+    one pass per 16-bit digit, lowest first, each numpy's stable sort of
+    16-bit integers, a radix sort, so O(len(keys)) per pass."""
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    shift = 16
+    while n > 1 << shift:
+        order = order[np.argsort((keys[order] >> shift).astype(np.uint16), kind="stable")]
+        shift += 16
+    return order
 
 
 class WeightedGraph:
@@ -149,15 +165,15 @@ class WeightedGraph:
         back = np.argsort(mirror)
         if not (np.array_equal(mirror[back], codes) and np.array_equal(vals[back], vals)):
             raise DimensionMismatch("weights must be symmetric")
-        self._store(n, rows, cols, vals)
+        self._store(n, np.bincount(rows, minlength=n), cols, vals)
 
-    def _store(self, n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
+    def _store(self, n: int, counts: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
         """Keep the canonical CSR of the symmetric n x n matrix whose
         entries, in row-major order without duplicates or zeros, are
-        ``vals`` at ``(rows, cols)``; its degrees and 2M must be finite."""
+        ``vals`` at columns ``cols``, ``counts[i]`` of them in row ``i``;
+        its degrees and 2M must be finite."""
         # scipy's index dtype, so the `weights` view shares these arrays
         index = np.int32 if max(n, vals.size) <= np.iinfo(np.int32).max else np.int64
-        counts = np.bincount(rows, minlength=n)
         indptr = np.zeros(n + 1, dtype=index)
         np.cumsum(counts, out=indptr[1:])
         # Row sums as scipy's csr sum(axis=1) takes them, one add.reduceat
@@ -216,12 +232,24 @@ class WeightedGraph:
             n, np.minimum(rows, cols), np.maximum(rows, cols), np.asarray(vals, dtype=float)
         )
         rows, cols = np.divmod(codes, max(n, 1))
-        off = rows != cols
-        full = np.concatenate([codes, (cols * n + rows)[off]])
-        order = np.argsort(full)
-        rows, cols = np.divmod(full[order], max(n, 1))
+        # Row r holds the mirrors (r, i) of the entries (i, r), i < r, then
+        # its own entries, whose columns are at least r. Sorted stably by
+        # row, the mirrors keep the ascending i of the row-major entries,
+        # so each entry's place is its row's start plus its rank there.
+        off = np.flatnonzero(rows != cols)
+        mirrors = off[_stable_order(cols[off], n)]
+        low = np.bincount(cols[off], minlength=n)
+        own = np.bincount(rows, minlength=n)
+        start = np.cumsum(low + own) - low - own
+        place = np.arange(codes.size) + (start + low - np.cumsum(own) + own)[rows]
+        mirror_rows = cols[mirrors]
+        mirror_place = np.arange(mirrors.size) + (start - np.cumsum(low) + low)[mirror_rows]
+        full_cols = np.empty(codes.size + mirrors.size, dtype=np.int64)
+        full_vals = np.empty(full_cols.size)
+        full_cols[place], full_vals[place] = cols, vals
+        full_cols[mirror_place], full_vals[mirror_place] = rows[mirrors], vals[mirrors]
         g = cls.__new__(cls)
-        g._store(n, rows, cols, np.concatenate([vals, vals[off]])[order])
+        g._store(n, low + own, full_cols, full_vals)
         return g
 
     @property
@@ -293,10 +321,13 @@ def load_edge_list(path) -> WeightedGraph:
     :class:`EdgeListParseError` with its 1-based line number. Duplicate
     unordered pairs are rejected rather than summed.
     """
+    text = Path(path).read_text()
+    fast = _plain_edges(text)
+    if fast is not None:
+        return WeightedGraph._from_arrays(*fast)
     rows, cols, vals = [], [], []
     seen: set[tuple[int, int]] = set()
     n = 0
-    text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -327,6 +358,75 @@ def load_edge_list(path) -> WeightedGraph:
         n = max(n, i + 1, j + 1)
     # parsed floats need no per-weight check, which from_edges would make
     return WeightedGraph._from_arrays(n, rows, cols, vals)
+
+
+# Byte classes of the plain edge-list format: 1 a digit, 2 a sign, point or
+# exponent character of a weight, 3 a field separator (tab or line break).
+_PLAIN_BYTES = np.zeros(256, dtype=np.uint8)
+_PLAIN_BYTES[np.frombuffer(b"0123456789", np.uint8)] = 1
+_PLAIN_BYTES[np.frombuffer(b"+-.eE", np.uint8)] = 2
+_PLAIN_BYTES[[9, 10]] = 3
+
+
+# Text length from which load_edge_list tries _plain_edges: its fixed cost,
+# some 30 numpy calls, is more than the line loop takes below about 80 lines.
+_PLAIN_MIN_CHARS = 1024
+
+
+def _plain_edges(text: str) -> tuple[int, np.ndarray, np.ndarray, np.ndarray] | None:
+    """``(n, rows, cols, weights)`` of an edge list of at least
+    ``_PLAIN_MIN_CHARS`` characters whose every line is
+    ``i<TAB>j<TAB>w`` in plain form: ASCII digits for ``i`` and ``j`` (at
+    most 18), digits and ``+-.eE`` for ``w``, no blank line, no pair listed
+    twice, and every weight finite and nonnegative; else None.
+
+    It checks in numpy what :func:`load_edge_list`'s line loop checks line
+    by line, and converts the weights with ``float`` as the loop does, so
+    it accepts a subset of the loop's files, with the same values. Any
+    other file, valid or not, is left to the loop, which also locates the
+    first bad line."""
+    if len(text) < _PLAIN_MIN_CHARS or not text.isascii():
+        return None
+    if not text.endswith("\n"):
+        text += "\n"
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    kind = _PLAIN_BYTES[raw]
+    sep = np.flatnonzero(kind == 3)
+    # separators tab, tab, line break on every line, and no field empty
+    if (
+        sep.size % 3
+        or (kind == 0).any()
+        or sep[0] == 0
+        or (np.diff(sep) == 1).any()
+        or not (raw[sep].reshape(-1, 3) == (9, 9, 10)).all()
+    ):
+        return None
+    # the index fields [lo, hi) of each line, right-aligned in columns as
+    # wide as the widest, whose digits then make the integers exactly
+    seps = sep.reshape(-1, 3)
+    hi = seps[:, :2]
+    lo = np.stack([np.concatenate(([0], seps[:-1, 2] + 1)), seps[:, 0] + 1], axis=1)
+    width = int((hi - lo).max())
+    if width > 18:
+        return None
+    at = hi[..., None] - np.arange(width, 0, -1)
+    inside = at >= lo[..., None]
+    at = np.where(inside, at, 0)
+    if ((kind[at] != 1) & inside).any():
+        return None
+    digits = np.where(inside, raw[at].astype(np.int64) - 48, 0)
+    ends = digits @ 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    try:
+        vals = np.array([float(w) for w in text.replace("\n", "\t").split("\t")[2::3]])
+    except ValueError:
+        return None
+    if not (np.isfinite(vals).all() and (vals >= 0.0).all()):
+        return None
+    n = int(ends.max()) + 1
+    pairs = np.sort(ends.min(axis=1) * n + ends.max(axis=1))
+    if (pairs[1:] == pairs[:-1]).any():
+        return None
+    return n, ends[:, 0], ends[:, 1], vals
 
 
 def _check_eps(eps: float, allow_zero: bool = True) -> None:

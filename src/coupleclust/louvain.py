@@ -50,12 +50,17 @@ weights and the n nodes, O(nnz + n log n) with no per-class Python loop;
 building a level, the class graph of a partition, is one sort of the nnz
 class-pair codes into CSR arrays, the graph's own format, 16 bytes per
 stored entry. Local moving is queue-driven: after the first visit of every
-node, only the neighbours of moved nodes are visited again. One visit
-costs a pass over the node's CSR row, three block calls that give the
-node's linear coefficients, and a few multiply-adds per neighbouring
+node, only the neighbours of moved nodes are visited again. Each level
+computes its nodes' linear block coefficients once, so one visit costs a
+pass over the node's CSR row and a few multiply-adds per neighbouring
 class. A merge or refinement visit at which no neighbouring class gains
 may also scan all k classes, O(k), unless an exact bound shows that no
 class without an edge to the node can gain (under independence, always).
+On a level of at least ``_SCREEN_MIN_ENTRIES`` stored entries a merge or
+refinement phase first bounds every node's best gain in numpy, in
+O(nnz log nnz + n log k), and skips in O(1) the visits whose bound, widened
+by the moves made since and a rounding margin, proves that the node cannot
+move: those visits would move nothing, so every result is unchanged.
 """
 
 from __future__ import annotations
@@ -319,7 +324,9 @@ class _SearchGraph:
     escape pass runs.
     """
 
-    __slots__ = ("g", "criterion", "tol", "entries", "csr", "deg", "size", "lone_score", "settled")
+    __slots__ = (
+        "g", "criterion", "tol", "entries", "csr", "deg", "size", "coef", "lone_score", "settled"
+    )
 
     def __init__(self, g: WeightedGraph, criterion: LocalCriterion):
         self.tol = _check_graph(g, criterion)
@@ -337,6 +344,7 @@ class _SearchGraph:
                 arr.flags.writeable = False
         self.csr = tuple(map(memoryview, csr))
         self.deg, self.size = self.class_totals(np.arange(g.n))
+        self.coef = self.coefficients(self.deg, self.size)
         self.lone_score = self.score(np.arange(g.n))
         self.settled: dict[bytes, tuple[np.ndarray, bool]] = {}
 
@@ -347,6 +355,36 @@ class _SearchGraph:
         """Degree mass and size of each class of canonical ``labels``."""
         deg = np.bincount(labels, weights=self.g.degrees)
         return deg.tolist(), np.bincount(labels).astype(float).tolist()
+
+    def coefficients(self, deg: list[float], size: list[float]) -> tuple:
+        """The coefficients ``(cw, cd, cs)`` of the nodes of degree masses
+        ``deg`` and sizes ``size``: the block of a node with one class is
+        ``cw*w + cd*D + cs*S`` (see :func:`_best_move`). Three lists, from
+        one block call per node each; from ``_COEF_ARRAY_MIN`` nodes on,
+        three memoryviews of read-only float64 arrays, as compact as the
+        CSR, from one block call on arrays each, equal bit for bit."""
+        block = self.criterion.block_evaluator
+        n, two_m = self.g.n, self.g.total_weight_2m
+        if len(deg) < _COEF_ARRAY_MIN:
+            return tuple(
+                [block(w, d, dd, s, ss, n, two_m) for d, s in zip(deg, size)]
+                for w, dd, ss in _UNITS
+            )
+        deg, size = np.array(deg), np.array(size)
+        coef = []
+        for w, dd, ss in _UNITS:
+            arr = np.array(np.broadcast_to(block(w, deg, dd, size, ss, n, two_m), deg.shape), float)
+            arr.flags.writeable = False
+            coef.append(memoryview(arr))
+        return tuple(coef)
+
+
+# The unit ``(w, D, S)`` arguments whose block values are ``cw, cd, cs``.
+_UNITS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+# Nodes from which a level's coefficients are computed on arrays: below it
+# a block call per node is faster than numpy's fixed cost per call.
+_COEF_ARRAY_MIN = 32
 
 
 def _canonical(labels) -> np.ndarray:
@@ -371,26 +409,36 @@ class _Level:
     and ``data`` hold the super-node graph as CSR, rows ascending, between
     distinct super-nodes only (a super-node carries its inner pairs wherever
     it moves): memoryviews of read-only arrays, whose row slices copy
-    nothing and yield Python ints and floats. They, ``deg`` and ``size`` are
-    read-only; the phases update ``labels`` and the per-class lists
-    ``cls_deg`` and ``cls_size``, which grow by a slot when a node opens a
-    fresh class.
+    nothing and yield Python ints and floats. ``cw``, ``cd`` and ``cs`` are
+    each node's block coefficients (:meth:`_SearchGraph.coefficients`),
+    computed once per level and read by every visit and by the gain screen.
+    They, ``deg`` and ``size`` are read-only; the phases update
+    ``labels`` and the per-class lists ``cls_deg`` and ``cls_size``, which
+    grow by a slot when a node opens a fresh class.
     """
 
-    __slots__ = ("indptr", "indices", "data", "deg", "size", "labels", "cls_deg", "cls_size")
+    __slots__ = (
+        "indptr", "indices", "data", "deg", "size", "cw", "cd", "cs", "labels", "cls_deg", "cls_size"
+    )
 
-    def __init__(self, csr, deg, size):
+    def __init__(self, csr, deg, size, coef):
         self.indptr, self.indices, self.data = csr
         self.deg: list[float] = deg
         self.size: list[float] = size
+        self.cw, self.cd, self.cs = coef
         self.labels = list(range(len(deg)))
         self.cls_deg = list(deg)
         self.cls_size = list(size)
 
     @classmethod
+    def singletons(cls, sg: _SearchGraph) -> "_Level":
+        """The original graph, every node alone in its class."""
+        return cls(sg.csr, sg.deg, sg.size, sg.coef)
+
+    @classmethod
     def from_partition(cls, sg: _SearchGraph, labels: np.ndarray) -> "_Level":
         """Original-resolution state starting from canonical ``labels``."""
-        level = cls(sg.csr, sg.deg, sg.size)
+        level = cls.singletons(sg)
         level.labels = labels.tolist()
         level.cls_deg, level.cls_size = sg.class_totals(labels)
         return level
@@ -410,15 +458,13 @@ class _Level:
         csr = np.searchsorted(codes, np.arange(k + 1) * k), codes % k, w
         for arr in csr:
             arr.flags.writeable = False
-        return cls(tuple(map(memoryview, csr)), *sg.class_totals(labels))
+        deg, size = sg.class_totals(labels)
+        return cls(tuple(map(memoryview, csr)), deg, size, sg.coefficients(deg, size))
 
 
 def _best_move(
     level: _Level,
     node: int,
-    block: Callable[..., float],
-    n: int,
-    two_m: float,
     classes: list[int] | None = None,
     polish: tuple[int, float, float] | None = None,
 ) -> tuple[float, int]:
@@ -429,16 +475,17 @@ def _best_move(
     class ``b`` gains ``2 * (block(w_b, d, D_b, s, S_b) - base)``, where
     ``base = block(w_a, d, D_a - d, s, S_a - s)`` is its stay term, ``w_c``
     its weight to class ``c`` and ``D_c``, ``S_c`` the class degree mass
-    and size (``n`` and ``two_m`` are passed on to ``block``). The block is
-    additive in ``(w, D, S)`` and 0 at the origin, so for a fixed node it
-    is ``cw*w + cd*D + cs*S``: three block calls at unit arguments price
-    every candidate with a few multiply-adds.
+    and size. The block is additive in ``(w, D, S)`` and 0 at the origin,
+    so for a fixed node it is ``cw*w + cd*D + cs*S``, with the node's
+    coefficients read from the level: every candidate prices with a few
+    multiply-adds.
 
     Candidates are ``classes`` in the given order, then a fresh class if
     the node is not alone (the first empty slot, or a new one past the
     last); the first best one wins. Without ``classes`` the candidates are
-    the node's neighbour classes in ascending order and staying put (gain
-    0, class ``a``) is the move to beat; with ``classes`` the best move is
+    the node's neighbour classes, the smallest class id winning a tie
+    among them, and staying put (gain 0, class ``a``) is the move to beat,
+    which a tie does not displace; with ``classes`` the best move is
     returned whatever the sign of its gain, or ``(-inf, -1)`` if there is
     no candidate.
 
@@ -450,31 +497,38 @@ def _best_move(
     when ``cd <= 0`` and ``2 * (cs*s_max - base) <= tol`` (``s_max`` bounds
     every class size), since then no such class gains more than ``tol``.
     So a returned gain of at most ``tol`` proves that no class gains more.
+    A polish phase on a large level calls the kernel only for the nodes
+    that its :class:`_Screen` cannot rule out this way in O(1).
     """
     labels = level.labels
     cls_deg, cls_size = level.cls_deg, level.cls_size
     a = labels[node]
     d = level.deg[node]
     s = level.size[node]
+    cw, cd, cs = level.cw[node], level.cd[node], level.cs[node]
     w_by_class: dict[int, float] = {}
     get = w_by_class.get
     lo, hi = level.indptr[node], level.indptr[node + 1]
     for j, w in zip(level.indices[lo:hi], level.data[lo:hi]):
         c = labels[j]
         w_by_class[c] = get(c, 0.0) + w
-    cw = block(1.0, d, 0.0, s, 0.0, n, two_m)
-    cd = block(0.0, d, 1.0, s, 0.0, n, two_m)
-    cs = block(0.0, d, 0.0, s, 1.0, n, two_m)
     base = cw * get(a, 0.0) + cd * (cls_deg[a] - d) + cs * (cls_size[a] - s)
     if classes is None:
-        classes = sorted(w_by_class)
+        # neighbour classes in first-seen order; a tie goes to the smaller
+        # class id, as in an ascending scan, but never displaces staying put
         best_gain, best_class = 0.0, a
+        for b, w in w_by_class.items():
+            if b != a:
+                gain = 2.0 * (cw * w + cd * cls_deg[b] + cs * cls_size[b] - base)
+                if gain > best_gain or (gain == best_gain and a != best_class > b):
+                    best_gain, best_class = gain, b
+        classes = []
     else:
         best_gain, best_class = -math.inf, -1
     if polish is not None:
         last, s_max, tol = polish
         if last >= 0 and cls_size[last] > 0.0:
-            classes.append(last)
+            classes = [*classes, last]
     for b in classes:
         if b == a:
             continue
@@ -520,6 +574,138 @@ def _move(level: _Level, node: int, dst: int) -> int:
     return src
 
 
+class _Screen:
+    """An upper bound on every node's best polish gain at one level, so that
+    a polish phase skips in O(1) the visits that cannot move a node: the
+    incremental gain bound of Fiduccia & Mattheyses (DAC 1982) on the queue
+    of :func:`_run_passes`.
+
+    :meth:`build` prices every candidate of every node at once, in numpy,
+    from the level's own lists. A node's weights to its neighbour classes
+    are one ``bincount`` over its CSR row in row order, and its gains to
+    them, to a fresh class and its stay term are the kernel's expressions
+    in the kernel's order, so they equal :func:`_best_move`'s bit for bit.
+    The fresh-class gain ``-2*base`` counts even for a node alone in its
+    class, which a later move into that class would make a candidate. The
+    classes a node has no edge to price at ``2*(cd*D_b + cs*S_b - base)``;
+    for ``cd <= 0`` (both built-in criteria; a level with ``cd > 0`` gets
+    no screen) their best is the least degree mass among the classes of
+    each size, and over the sizes it is a query on the upper envelope of
+    the lines ``t -> S*t - D`` at ``t = cs/|cd|``, O(log k) per node. Under
+    independence ``cs = 0``, so that is the class of least degree mass.
+    ``cap[i]`` is node i's best gain plus a rounding margin of
+    ``_SCREEN_ULP * (|cw|*d + |cd|*2M + |cs|*n)``, some 500 units in the
+    last place of the largest term any of its gains sums.
+
+    A move of node v changes the weights of v and of its neighbours to two
+    classes, and they are marked ``must`` visit. For every other node it
+    changes only the degree mass and size of two classes, by v's ``d`` and
+    ``s``; each candidate's gain and the stay term move by at most
+    ``|cd|*d + |cs|*s``, so the node's best gain rises by at most
+    ``4*(|cd|*d + |cs|*s)``, and a class that v opens prices within
+    ``2*(|cd|*d + |cs|*s)`` of the fresh class. Each move also adds
+    ``_SCREEN_ULP * 2M`` to the summed degree mass, more than the rounding
+    of the two class totals it updates. :meth:`skips` is then exact: a node
+    that is not marked and whose widened bound is at most ``tol`` has no
+    move gaining more than ``tol``, so its visit would move nothing.
+    """
+
+    __slots__ = ("cap", "wd", "ws", "tol", "slack", "must", "sum_d", "sum_s")
+
+    def __init__(self, cap: list[float], wd: list[float], ws: list[float], tol: float, slack: float):
+        self.cap, self.wd, self.ws = cap, wd, ws
+        self.tol = tol
+        self.slack = slack
+        self.must = [False] * len(cap)
+        self.sum_d = self.sum_s = 0.0
+
+    @classmethod
+    def build(cls, sg: _SearchGraph, level: _Level) -> "_Screen | None":
+        cw, cd, cs = (np.asarray(c, dtype=float) for c in (level.cw, level.cd, level.cs))
+        if (cd > 0.0).any():
+            return None
+        n, two_m = sg.g.n, sg.g.total_weight_2m
+        labels = np.array(level.labels)
+        cls_deg, cls_size = np.array(level.cls_deg), np.array(level.cls_size)
+        deg, size = np.asarray(level.deg, dtype=float), np.asarray(level.size, dtype=float)
+        m, k = labels.size, cls_size.size
+        indptr = np.asarray(level.indptr)
+        rows = np.repeat(np.arange(m), np.diff(indptr))
+        # one bin per (node, neighbour class), summed in row order
+        keys, pair = np.unique(rows * k + labels[np.asarray(level.indices)], return_inverse=True)
+        w = np.bincount(pair, weights=np.asarray(level.data), minlength=keys.size)
+        row, c = np.divmod(keys, k)
+        own = c == labels[row]
+        w_own = np.zeros(m)
+        w_own[row[own]] = w[own]
+        base = cw * w_own + cd * (cls_deg[labels] - deg) + cs * (cls_size[labels] - size)
+        best = np.maximum(-2.0 * base, 2.0 * (_far_classes(cd, cs, cls_deg, cls_size) - base))
+        row, c, w = row[~own], c[~own], w[~own]
+        if row.size:
+            gain = 2.0 * (cw[row] * w + cd[row] * cls_deg[c] + cs[row] * cls_size[c] - base[row])
+            first = np.flatnonzero(np.diff(row, prepend=-1))
+            best[row[first]] = np.maximum(best[row[first]], np.maximum.reduceat(gain, first))
+        cd, cs = np.abs(cd), np.abs(cs)
+        best += _SCREEN_ULP * (np.abs(cw) * deg + cd * two_m + cs * n)
+        return cls(best.tolist(), (4.0 * cd).tolist(), (4.0 * cs).tolist(), sg.tol, _SCREEN_ULP * two_m)
+
+    def skips(self, node: int) -> bool:
+        """Whether a visit of ``node`` provably moves nothing."""
+        return (
+            not self.must[node]
+            and self.cap[node] + self.wd[node] * self.sum_d + self.ws[node] * self.sum_s <= self.tol
+        )
+
+    def moved(self, level: _Level, node: int) -> None:
+        """Account for the move of ``node`` just made on ``level``."""
+        must = self.must
+        must[node] = True
+        for j in level.indices[level.indptr[node] : level.indptr[node + 1]]:
+            must[j] = True
+        self.sum_d += level.deg[node] + self.slack
+        self.sum_s += level.size[node]
+
+
+def _far_classes(cd: np.ndarray, cs: np.ndarray, cls_deg: np.ndarray, cls_size: np.ndarray) -> np.ndarray:
+    """Per node, ``max_b cd*D_b + cs*S_b`` over the nonempty classes ``b``,
+    up to rounding, for coefficients ``cd <= 0``.
+
+    Of the classes of one size, the one of least degree mass is the best.
+    For ``cd < 0`` the value is ``|cd| * (t*S - D)`` with ``t = cs/|cd|``,
+    so the best size is the line ``t -> S*t - D`` on top at ``t``: the
+    upper envelope of those lines, slopes ascending, is built once and
+    each node's line found by ``searchsorted`` on its breakpoints. The
+    lines next to it are priced too, so a breakpoint rounded to the wrong
+    side costs nothing. For ``cd = 0``, ``t = +-inf`` picks the largest or
+    smallest size by the sign of ``cs``."""
+    live = cls_size > 0.0
+    sizes, degs = cls_size[live], cls_deg[live]
+    order = np.lexsort((degs, sizes))
+    sizes, degs = sizes[order], degs[order]
+    first = np.flatnonzero(np.diff(sizes, prepend=-1.0))
+    sizes, degs = sizes[first].tolist(), degs[first].tolist()
+    hull: list[int] = []
+    for j in range(len(sizes)):
+        # line hull[-1] is never on top once line j crosses hull[-2] first
+        while len(hull) >= 2 and (
+            (degs[j] - degs[hull[-2]]) * (sizes[hull[-1]] - sizes[hull[-2]])
+            <= (degs[hull[-1]] - degs[hull[-2]]) * (sizes[j] - sizes[hull[-2]])
+        ):
+            hull.pop()
+        hull.append(j)
+    top_s = np.array([sizes[j] for j in hull])
+    top_d = np.array([degs[j] for j in hull])
+    breaks = np.diff(top_d) / np.diff(top_s)
+    t = np.where(cs > 0.0, math.inf, -math.inf)
+    with np.errstate(over="ignore"):  # a ratio past the float range is an end line's
+        np.divide(cs, -cd, out=t, where=cd < 0.0)
+    at = np.searchsorted(breaks, t)
+    last = top_s.size - 1
+    return np.maximum.reduce(
+        [cd * top_d[j] + cs * top_s[j] for j in (np.maximum(at - 1, 0), at, np.minimum(at + 1, last))]
+    )
+
+
 def _run_passes(
     sg: _SearchGraph,
     level: _Level,
@@ -546,10 +732,14 @@ def _run_passes(
     prove stability, since a move also changes the class totals that
     non-neighbours price; a polish phase that moves nothing does, since it
     visited every node and priced every class.
+
+    On a level of at least ``_SCREEN_MIN_ENTRIES`` stored entries a polish
+    phase first builds a :class:`_Screen`, O(nnz log nnz + m log k), and a
+    dequeued node that it proves cannot gain more than ``tol`` is not
+    priced. Such a visit would move nothing, so the queue, the visit count
+    and every move are those of the unscreened phase.
     """
     m = len(level.deg)
-    g = sg.g
-    block = sg.criterion.block_evaluator
     tol = sg.tol
     labels = level.labels
     cls_size = level.cls_size
@@ -558,15 +748,30 @@ def _run_passes(
     moves = 0
     last = -1
     s_max = max(cls_size)
+    screen = (
+        _Screen.build(sg, level) if polish and len(level.indices) >= _SCREEN_MIN_ENTRIES else None
+    )
+    misses = 0
     for _ in range(_MAX_SWEEPS * m):
         if not queue:
             break
         node = queue.popleft()
         queued[node] = False
+        if screen is not None:
+            if screen.skips(node):
+                continue
+            if screen.sum_s:
+                # rebuilt once its bounds, widened by the moves since it was
+                # built, let m / 4 visits through; a build costs about m / 8
+                misses += 1
+                if misses > m >> 2:
+                    screen, misses = _Screen.build(sg, level), 0
+                    if screen.skips(node):
+                        continue
         # staying put prices at 0 and tol >= 0, so a gain above it is a
         # move to another class
         scan = (last, s_max, tol) if polish else None
-        gain, b = _best_move(level, node, block, g.n, g.total_weight_2m, polish=scan)
+        gain, b = _best_move(level, node, polish=scan)
         if gain > tol:
             _move(level, node, b)
             moves += 1
@@ -576,10 +781,23 @@ def _run_passes(
                 if not queued[j] and labels[j] != b:
                     queued[j] = True
                     queue.append(j)
+            if screen is not None:
+                screen.moved(level, node)
     if moves:
         trace.append(sg.score(np.asarray(labels)[node_map]))
     return moves
 
+
+# Stored entries of a level from which its polish phases build a _Screen.
+# A build costs some 30 numpy calls and a pass over the entries; on Gilbert
+# graphs of up to about 2400 entries that was more than the visits it saved,
+# and from about 2600 on the screened searches were faster (crossover table
+# in CHANGES.md).
+_SCREEN_MIN_ENTRIES = 2600
+
+# Relative rounding margin of a _Screen bound: 2**-44 is 512 units in the
+# last place.
+_SCREEN_ULP = 2.0**-44
 
 # Node visits a local-move phase may make, in sweeps of its level: the cap
 # that guarantees termination.
@@ -611,8 +829,6 @@ def _escape_pass(sg: _SearchGraph, start: np.ndarray) -> tuple[np.ndarray, bool]
     level = _Level.from_partition(sg, start)
     cls_size = level.cls_size
     n = sg.g.n
-    two_m = sg.g.total_weight_2m
-    block = sg.criterion.block_evaluator
     tol = sg.tol
     locked = [False] * n
     applied: list[tuple[int, int, int]] = []
@@ -628,7 +844,7 @@ def _escape_pass(sg: _SearchGraph, start: np.ndarray) -> tuple[np.ndarray, bool]
         for node in range(n):
             if locked[node]:
                 continue
-            gain, b = _best_move(level, node, block, n, two_m, nonempty)
+            gain, b = _best_move(level, node, nonempty)
             if gain > best_gain:
                 best_gain = gain
                 best_node = node
@@ -705,7 +921,7 @@ def _single_run(sg: _SearchGraph, rng: np.random.Generator) -> tuple[np.ndarray,
     improve: the next level's phase prices a subset of the candidates that
     the merge phase found no gain in, so it would move nothing, and the
     polish returns there at once."""
-    level = _Level(sg.csr, sg.deg, sg.size)
+    level = _Level.singletons(sg)
     node_map = np.arange(sg.g.n)
     trace = [sg.lone_score]
 

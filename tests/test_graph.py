@@ -247,6 +247,80 @@ def test_load_edge_list_blank_lines_and_empty_file(tmp_path):
     assert empty.n == 0
 
 
+def load_both_ways(path, monkeypatch):
+    """``load_edge_list(path)`` as it runs, and with its numpy fast path
+    switched off, so that the line loop reads every file; each an edge
+    list's graph or the ``EdgeListParseError`` message."""
+    results = []
+    for fast in (True, False):
+        with monkeypatch.context() as patch:
+            if not fast:
+                patch.setattr(graph_module, "_plain_edges", lambda text: None)
+            try:
+                results.append(cc.load_edge_list(path))
+            except cc.EdgeListParseError as exc:
+                results.append(str(exc))
+    return results
+
+
+@pytest.mark.parametrize(
+    "text, fast",
+    [
+        ("0\t1\t1.0\n1\t2\t2.5\n", True),
+        ("0\t1\t1e0\n2\t1\t+1.5E-1", True),  # exponents, signs, no final line break
+        ("007\t1\t0.0\n3\t3\t-0.0\n", True),  # leading zeros, zero weights, a self-loop
+        ("+3\t1\t1.0\n", False),
+        (" 3\t1\t1.0\n", False),
+        ("1_0\t1\t1.0\n", False),
+        ("0\t1\t1_0\n", False),
+        ("0 1 1.0\n", False),  # space separated: the loop rejects it
+        ("0\t1\t1.0 \n", False),
+        ("0\t1\t1.0\r\n2\t1\t1.0\r\n", True),  # read in text mode, as line breaks
+        ("0\t1\t1.0\n\n2\t1\t1.0\n", False),
+        ("0\t1\t1.0\n2\t1\t1.0\n1\t0\t2.0\n", False),  # a duplicate pair
+        ("0\t1\t1e999\n", False),
+        ("0\t1\t-2.0\n", False),
+        ("0\t1\t1.2.3\n", False),
+        ("0\t1\t\n", False),
+        ("0\t1\n", False),
+        ("0\t1\t1.0\t\n", False),
+        ("\u0663\t1\t1.0\n", False),  # a non-ASCII digit, which int() reads
+    ],
+)
+def test_load_edge_list_fast_path_agrees_with_the_loop(tmp_path, monkeypatch, text, fast):
+    # The numpy fast path takes exactly the plain files; every other file
+    # goes to the line loop, so both ways give the same graph or the same
+    # error at the same line.
+    monkeypatch.setattr(graph_module, "_PLAIN_MIN_CHARS", 0)
+    path = tmp_path / "edges.tsv"
+    path.write_text(text, encoding="utf-8")
+    assert (graph_module._plain_edges(path.read_text()) is not None) == fast
+    got, loop = load_both_ways(path, monkeypatch)
+    if isinstance(loop, str):
+        assert got == loop
+    else:
+        assert got.n == loop.n
+        for name in ("indptr", "indices", "data", "degrees"):
+            npt.assert_array_equal(getattr(got, name), getattr(loop, name))
+            assert getattr(got, name).dtype == getattr(loop, name).dtype
+        assert got.total_weight_2m == loop.total_weight_2m
+
+
+def test_load_edge_list_reads_long_plain_files_in_numpy(tmp_path, monkeypatch):
+    # Files from save_edge_list are plain; from _PLAIN_MIN_CHARS characters
+    # on they take the fast path, with the loop's graph.
+    g = cc.gilbert_weighted(200, 0.05, 3, rng=2)
+    path = tmp_path / "edges.tsv"
+    g.save_edge_list(path)
+    text = path.read_text()
+    assert len(text) >= graph_module._PLAIN_MIN_CHARS
+    assert graph_module._plain_edges(text) is not None
+    assert graph_module._plain_edges(text[: graph_module._PLAIN_MIN_CHARS - 1]) is None
+    for h in load_both_ways(path, monkeypatch):
+        for name in ("indptr", "indices", "data"):
+            npt.assert_array_equal(getattr(h, name), getattr(g, name))
+
+
 def test_karate_data():
     g = cc.load_karate()
     assert g.n == 34

@@ -425,13 +425,32 @@ def test_singleton_level_is_the_graph_csr_without_its_diagonal():
     off = rows != g.indices
     # the search object's singleton level, built from the graph's CSR, and
     # the class graph of the identity labels
-    for level in (_Level(sg.csr, sg.deg, sg.size), _Level.of_classes(sg, np.arange(g.n))):
+    block = sg.criterion.block_evaluator
+    for level in (_Level.singletons(sg), _Level.of_classes(sg, np.arange(g.n))):
         npt.assert_array_equal(level.indptr, np.searchsorted(rows[off], np.arange(g.n + 1)))
         npt.assert_array_equal(level.indices, g.indices[off])
         npt.assert_array_equal(level.data, g.data[off])
         assert level.indptr.readonly and level.indices.readonly and level.data.readonly
         assert level.labels == list(range(g.n))
         assert (level.deg, level.size) == (g.degrees.tolist(), [1.0] * g.n)
+        # the kernel's coefficients, equal bit for bit to its three block
+        # calls at unit arguments, whether held as arrays or as lists
+        for coef, unit in zip((level.cw, level.cd, level.cs), np.eye(3).tolist()):
+            w, dd, ss = unit
+            expected = [block(w, d, dd, 1.0, ss, g.n, g.total_weight_2m) for d in g.degrees.tolist()]
+            assert list(coef) == expected
+    # from _COEF_ARRAY_MIN nodes on, read-only arrays with the same values
+    big = cc.gilbert_weighted(louvain_module._COEF_ARRAY_MIN, 0.3, 3, rng=1)
+    sg = _SearchGraph(big, cc.indetermination_criterion())
+    level = _Level.singletons(sg)
+    for coef, unit in zip((level.cw, level.cd, level.cs), np.eye(3).tolist()):
+        w, dd, ss = unit
+        assert isinstance(coef, memoryview) and coef.readonly
+        expected = [
+            sg.criterion.block_evaluator(w, d, dd, 1.0, ss, big.n, big.total_weight_2m)
+            for d in big.degrees.tolist()
+        ]
+        assert coef.tolist() == expected
 
 
 PLATEAU = cc.WeightedGraph.from_edges(
@@ -539,10 +558,11 @@ def test_louvain_result_json():
     assert data["trace"][-1] == result.score
 
 
-def random_level(rng, m=40, k=12):
+def random_level(rng, block, m=40, k=12):
     """A super-node level: float weights, self-loops, sizes 1..5 and
     labels drawn from ``k`` of the ``m`` class ids, so some classes are
-    empty and a fresh class is available."""
+    empty and a fresh class is available. Its coefficients are ``block``'s,
+    with n and 2M the summed sizes and degree masses."""
     from coupleclust.louvain import _Level
 
     upper = np.triu(rng.uniform(0.1, 3.0, (m, m)) * (rng.random((m, m)) < 0.05), 1)
@@ -551,7 +571,13 @@ def random_level(rng, m=40, k=12):
     csr = tuple(map(memoryview, (np.searchsorted(rows, np.arange(m + 1)), cols, a[rows, cols])))
     self_w = rng.uniform(0.0, 4.0, m).tolist()
     deg = (a.sum(axis=1) + self_w).tolist()
-    level = _Level(csr, deg, rng.integers(1, 6, m).astype(float).tolist())
+    size = rng.integers(1, 6, m).astype(float).tolist()
+    n, two_m = int(sum(size)), float(sum(deg))
+    coef = tuple(
+        [block(w, d, dd, s, ss, n, two_m) for d, s in zip(deg, size)]
+        for w, dd, ss in np.eye(3).tolist()
+    )
+    level = _Level(csr, deg, size, coef)
     level.labels = rng.choice(rng.permutation(m)[:k], size=m).tolist()
     level.cls_deg, level.cls_size = [0.0] * m, [0.0] * m
     for i, c in enumerate(level.labels):
@@ -619,14 +645,14 @@ def test_best_move_matches_block_formula_reference(criterion):
     block = criterion.block_evaluator
     moved = fresh = far = 0
     for _ in range(20):
-        level = random_level(rng)
+        level = random_level(rng, block)
         n, two_m = int(sum(level.size)), float(sum(level.deg))
         nonempty = [c for c, size in enumerate(level.cls_size) if size > 0]
         tol = 1e-12 * abs(block(two_m, 0.0, 0.0, 0.0, 0.0, n, two_m))  # as _check_graph
         s_max = max(level.cls_size)
         for node in range(len(level.deg)):
             for classes in (None, nonempty):
-                gain, b = _best_move(level, node, block, n, two_m, classes)
+                gain, b = _best_move(level, node, classes)
                 ref_gain, ref_b = reference_best_move(level, node, block, n, two_m, classes)
                 assert b == ref_b
                 assert abs(gain - ref_gain) <= 1e-12 * max(1.0, abs(ref_gain))
@@ -639,11 +665,11 @@ def test_best_move_matches_block_formula_reference(criterion):
             top = max(ref.values())
             close = 1e-12 * max(1.0, abs(top))
             last = nonempty[node % len(nonempty)]
-            gain, b = _best_move(level, node, block, n, two_m, polish=(last, np.inf, np.finfo(float).max))
+            gain, b = _best_move(level, node, polish=(last, np.inf, np.finfo(float).max))
             assert abs(gain - top) <= close and abs(ref[b] - top) <= close
             # At the search tolerance the kernel may stop at any gaining
             # candidate, and may skip the scan only where no class gains.
-            gain, b = _best_move(level, node, block, n, two_m, polish=(last, s_max, tol))
+            gain, b = _best_move(level, node, polish=(last, s_max, tol))
             assert (gain > tol) == (top > tol)
             assert gain <= top + close and abs(ref[b] - gain) <= close
             best = max(ref, key=ref.get)
@@ -820,6 +846,56 @@ def test_settled_partitions_cut_the_move_phases(monkeypatch):
         for crit in CRITERIA:
             cc.louvain(g, crit, cc.LouvainConfig(seed=seed))
     assert len(phases) == 946
+
+
+def planted_graph(n=500, blocks=5, p_in=0.05, p_out=0.02, seed=7):
+    """A fixed planted-partition graph: ``blocks`` equal blocks, edge
+    probability ``p_in`` inside a block and ``p_out`` across."""
+    rng = np.random.default_rng(seed)
+    iu, iv = np.triu_indices(n, 1)
+    same = iu * blocks // n == iv * blocks // n
+    keep = rng.random(iu.size) < np.where(same, p_in, p_out)
+    return cc.WeightedGraph.from_edges(n, [(i, j, 1.0) for i, j in zip(iu[keep].tolist(), iv[keep].tolist())])
+
+
+@pytest.mark.parametrize("criterion", [cc.independence_criterion(), cc.indetermination_criterion()])
+def test_gain_screen_cuts_refinement_visits(monkeypatch, criterion):
+    # A work count, not a timing: the kernel calls that refinement phases
+    # make, with the gain screen and with a screen that skips nothing, as
+    # before it existed. The skipped visits move nothing, so the results are
+    # equal; one restart keeps the runs in this process.
+    g = planted_graph()
+    assert g.indices.size >= louvain_module._SCREEN_MIN_ENTRIES
+    calls = []
+    refining = []
+    best_move, run_passes = louvain_module._best_move, louvain_module._run_passes
+
+    def counted_move(*args, **kwargs):
+        calls.append(bool(refining))
+        return best_move(*args, **kwargs)
+
+    def flagged_passes(sg, level, node_map, rng, trace, polish=False):
+        # refinement phases are the polish phases that shuffle their queue
+        if polish and rng is not None:
+            refining.append(True)
+        try:
+            return run_passes(sg, level, node_map, rng, trace, polish)
+        finally:
+            refining.clear()
+
+    monkeypatch.setattr(louvain_module, "_best_move", counted_move)
+    monkeypatch.setattr(louvain_module, "_run_passes", flagged_passes)
+    cfg = cc.LouvainConfig(seed=3, restarts=1)
+    screened = cc.louvain(g, criterion, cfg)
+    screened_calls = sum(calls)
+    calls.clear()
+    monkeypatch.setattr(louvain_module._Screen, "skips", lambda self, node: False)
+    plain = cc.louvain(g, criterion, cfg)
+    plain_calls = sum(calls)
+    npt.assert_array_equal(screened.partition.labels, plain.partition.labels)
+    assert (screened.score, screened.trace) == (plain.score, plain.trace)
+    assert plain_calls >= 2 * g.n  # at least two refinement phases ran
+    assert screened_calls * 3 <= plain_calls
 
 
 # Fixed Gilbert graphs around the stored-entry count from which the restarts

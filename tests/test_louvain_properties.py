@@ -18,9 +18,12 @@ import coupleclust as cc
 from coupleclust.louvain import (
     _ESCAPE_CAP,
     _Level,
+    _Screen,
     _SearchGraph,
+    _best_move,
     _canonical,
     _check_graph,
+    _move,
     _score_labels,
     _stored_entries,
 )
@@ -256,3 +259,90 @@ def test_canonical_relabels_like_a_sort(n, data):
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, expected)
     np.testing.assert_array_equal(_canonical(labels.tolist()), expected)
+
+
+def best_polish_gain(level, node):
+    """The best gain of any polish candidate of ``node``, each priced with
+    the kernel's expression: every other nonempty class, and a fresh class
+    unless the node is alone; -inf if there is none."""
+    labels, cls_deg, cls_size = level.labels, level.cls_deg, level.cls_size
+    a = labels[node]
+    cw, cd, cs = level.cw[node], level.cd[node], level.cs[node]
+    w = {}
+    lo, hi = level.indptr[node], level.indptr[node + 1]
+    for j, wj in zip(level.indices[lo:hi], level.data[lo:hi]):
+        w[labels[j]] = w.get(labels[j], 0.0) + wj
+    base = cw * w.get(a, 0.0) + cd * (cls_deg[a] - level.deg[node]) + cs * (cls_size[a] - level.size[node])
+    gains = [
+        2.0 * (cw * w.get(b, 0.0) + cd * cls_deg[b] + cs * size - base)
+        for b, size in enumerate(cls_size)
+        if size > 0.0 and b != a
+    ]
+    if cls_size[a] > level.size[node]:
+        gains.append(-2.0 * base)
+    return max(gains, default=-np.inf)
+
+
+def assert_screen_sound(sg, level, screen, last, s_max):
+    """Every node the screen does not mark is within its widened bound, and
+    the kernel gains at most ``tol`` wherever the screen skips."""
+    for node in range(len(level.labels)):
+        if not screen.must[node]:
+            bound = screen.cap[node] + screen.wd[node] * screen.sum_d + screen.ws[node] * screen.sum_s
+            assert best_polish_gain(level, node) <= bound
+        if screen.skips(node):
+            assert _best_move(level, node, polish=(last, s_max, sg.tol))[0] <= sg.tol
+
+
+@PROPERTY
+@given(graphs_with_labels(max_n=14), st.sampled_from(CRITERIA), st.data())
+def test_gain_screen_bounds_every_polish_gain(case, criterion, data):
+    # Random partitions and random move sequences, including moves into
+    # classes with no edge to the node, into singleton classes and into a
+    # fresh class, updated as a polish phase updates its screen.
+    g, part = case
+    assume(g.total_weight_2m > 0)
+    sg = _SearchGraph(g, criterion)
+    level = _Level.from_partition(sg, part.labels)
+    screen = _Screen.build(sg, level)
+    assert screen is not None  # cd <= 0 under both criteria
+    last, s_max = -1, max(level.cls_size)
+    assert_screen_sound(sg, level, screen, last, s_max)
+    for _ in range(data.draw(st.integers(0, 6))):
+        node = data.draw(st.integers(0, g.n - 1))
+        a = level.labels[node]
+        lo, hi = level.indptr[node], level.indptr[node + 1]
+        near = {level.labels[j] for j in level.indices[lo:hi]}
+        live = [c for c, size in enumerate(level.cls_size) if size > 0.0 and c != a]
+        fresh = level.cls_size.index(0.0) if 0.0 in level.cls_size else len(level.cls_size)
+        targets = {
+            "any": live,
+            "no edge": [c for c in live if c not in near],
+            "singleton": [c for c in live if level.cls_size[c] == 1.0],
+            "fresh": [fresh] if level.cls_size[a] > 1.0 else [],
+        }[data.draw(st.sampled_from(["any", "no edge", "singleton", "fresh"]))]
+        if not targets:
+            continue
+        dst = data.draw(st.sampled_from(targets))
+        _move(level, node, dst)
+        screen.moved(level, node)
+        last, s_max = dst, max(s_max, level.cls_size[dst])
+        assert_screen_sound(sg, level, screen, last, s_max)
+
+
+def test_gain_screen_sees_the_fresh_class_a_join_opens():
+    # Node 0 is alone, and no move of it gains. Node 1, which has no edge to
+    # it, joins its class: now node 0 gains by leaving for a fresh class, a
+    # candidate it did not have, and the screen must not skip it.
+    g = cc.WeightedGraph.from_edges(5, [(0, 4, 1.0), (1, 4, 2.0), (2, 4, 2.0)])
+    sg = _SearchGraph(g, cc.indetermination_criterion())
+    level = _Level.from_partition(sg, np.array([0, 1, 2, 1, 2]))
+    screen = _Screen.build(sg, level)
+    assert screen.skips(0)
+    assert _best_move(level, 0, polish=(-1, 2.0, sg.tol))[0] <= sg.tol
+    _move(level, 1, 0)
+    screen.moved(level, 1)
+    gain, b = _best_move(level, 0, polish=(0, 2.0, sg.tol))
+    assert gain > sg.tol and b == 3  # the fresh slot past the last class
+    assert not screen.skips(0)
+    assert_screen_sound(sg, level, screen, 0, 2.0)
