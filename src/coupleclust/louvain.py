@@ -608,12 +608,18 @@ class _Screen:
     of the two class totals it updates. :meth:`skips` is then exact: a node
     that is not marked and whose widened bound is at most ``tol`` has no
     move gaining more than ``tol``, so its visit would move nothing.
+
+    ``cap`` and the widening rates ``wd = 4*|cd|`` and ``ws = 4*|cs|`` are
+    memoryviews of read-only float64 arrays, as compact as the level's
+    coefficients, whose items are the Python floats the checks compare.
     """
 
     __slots__ = ("cap", "wd", "ws", "tol", "slack", "must", "sum_d", "sum_s")
 
-    def __init__(self, cap: list[float], wd: list[float], ws: list[float], tol: float, slack: float):
-        self.cap, self.wd, self.ws = cap, wd, ws
+    def __init__(self, cap: np.ndarray, wd: np.ndarray, ws: np.ndarray, tol: float, slack: float):
+        for arr in (cap, wd, ws):
+            arr.flags.writeable = False
+        self.cap, self.wd, self.ws = memoryview(cap), memoryview(wd), memoryview(ws)
         self.tol = tol
         self.slack = slack
         self.must = [False] * len(cap)
@@ -647,7 +653,7 @@ class _Screen:
             best[row[first]] = np.maximum(best[row[first]], np.maximum.reduceat(gain, first))
         cd, cs = np.abs(cd), np.abs(cs)
         best += _SCREEN_ULP * (np.abs(cw) * deg + cd * two_m + cs * n)
-        return cls(best.tolist(), (4.0 * cd).tolist(), (4.0 * cs).tolist(), sg.tol, _SCREEN_ULP * two_m)
+        return cls(best, 4.0 * cd, 4.0 * cs, sg.tol, _SCREEN_ULP * two_m)
 
     def skips(self, node: int) -> bool:
         """Whether a visit of ``node`` provably moves nothing."""
@@ -871,6 +877,7 @@ def _polish(
     labels: np.ndarray,
     rng: np.random.Generator,
     trace: list[float],
+    classes: _Level | None = None,
 ) -> np.ndarray:
     """Alternate a merge phase with single-node refinement at the original
     resolution (plus the escape pass on small graphs) until neither gains,
@@ -891,6 +898,10 @@ def _polish(
     ``rng`` goes unread, as no caller draws from ``rng`` after the polish.
     From a settled partition whose escape
     pass improves, the phases run, since later shuffles read their draws.
+
+    ``classes``, if given, is the class graph of ``labels`` in the state
+    :meth:`_Level.of_classes` builds, which the first merge phase then
+    runs on.
     """
     identity = np.arange(sg.g.n)
     while True:
@@ -898,9 +909,11 @@ def _polish(
         settled = sg.settled.get(key)
         if settled is not None and not settled[1]:
             return settled[0]
-        classes = _Level.of_classes(sg, labels)
+        if classes is None:
+            classes = _Level.of_classes(sg, labels)
         merges = _run_passes(sg, classes, labels, None, trace, True)
         refine = _Level.from_partition(sg, _canonical(np.asarray(classes.labels)[labels]))
+        classes = None
         moves = _run_passes(sg, refine, identity, rng, trace, True)
         if merges or moves:
             labels = _canonical(refine.labels)
@@ -920,13 +933,19 @@ def _single_run(sg: _SearchGraph, rng: np.random.Generator) -> tuple[np.ndarray,
     ends at a partition of ``sg.settled`` whose escape pass does not
     improve: the next level's phase prices a subset of the candidates that
     the merge phase found no gain in, so it would move nothing, and the
-    polish returns there at once."""
+    polish returns there at once.
+
+    A last level phase that moved nothing leaves its level as
+    :meth:`_Level.of_classes` builds it for the returned labels (the
+    singleton level is the class graph of the identity labels), so the
+    polish's first merge phase runs on it rather than on a rebuilt copy."""
     level = _Level.singletons(sg)
     node_map = np.arange(sg.g.n)
     trace = [sg.lone_score]
 
     while True:
-        _run_passes(sg, level, node_map, rng, trace)
+        if not _run_passes(sg, level, node_map, rng, trace):
+            return _polish(sg, node_map, rng, trace, level), trace
         labels = _canonical(np.asarray(level.labels)[node_map])
         settled = sg.settled.get(labels.tobytes())
         if labels.max() + 1 == len(level.deg) or (settled is not None and not settled[1]):

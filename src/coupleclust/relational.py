@@ -224,6 +224,14 @@ def condorcet_residual(pi: JointDistribution) -> float:
     return float(pi.p * pi.q * ((pi.cells - target) ** 2).sum())
 
 
+# Pairs whose draws sample_agreement_counts decodes at once.
+_AGREEMENT_CHUNK = 1 << 14
+
+# Bits of the most buckets its guide table takes (8 MB of indices): a
+# bigger joint gets fewer than four buckets per cell.
+_GUIDE_MAX_BITS = 20
+
+
 def sample_agreement_counts(
     pi: JointDistribution,
     n_pairs: int,
@@ -235,21 +243,65 @@ def sample_agreement_counts(
     which of the four agreement events occurred; counts sum to ``n_pairs``.
     Normalized by ``n_pairs`` they estimate
     :func:`expected_agreement_terms`.
+
+    The draws are those of ``rng.choice(cells, size=(2, n_pairs), p=flat)``
+    bit for bit, and leave ``rng`` in the same state: the ``2 * n_pairs``
+    uniforms of ``rng.random``, all first draws before all second draws,
+    each mapped to ``cdf.searchsorted(u, side="right")`` on the normalized
+    cumulative sum of the flattened cells. That index is found with a
+    guide table (Chen & Asau, AIIE Trans. 6, 163, 1974). There are ``B``
+    buckets, a power of two, four or more per cell up to ``2**20``, so
+    ``floor(u * B)`` is exact. Each bucket holds the count of cumulative
+    sums up to its left end, and a draw that lies past the next sum steps
+    forward until it does not. Cells too small to part in one bucket
+    cost extra steps only for the draws that land in it. Each cell is
+    coded as its row shifted past its column's ``bits``, so two draws
+    share a row exactly when their XOR is below ``2**bits``, and a column
+    when its low ``bits`` are 0.
+
+    The uniforms are decoded ``_AGREEMENT_CHUNK`` at a time: the first
+    draws to one small-integer code per pair, then the second ones chunk
+    by chunk, compared with them. O(n_pairs + cells) expected time;
+    memory the O(cells) tables, a chunk's buffers and one code per pair,
+    one byte while ``p << bits`` fits in a byte.
     """
     n_pairs = _as_count(n_pairs, "n_pairs")
     rng = _as_generator(rng)
-    flat = pi.cells.ravel()
-    draws = rng.choice(flat.size, size=(2, n_pairs), p=flat)
-    u, v = np.divmod(draws, pi.q)
-    same_row = u[0] == u[1]
-    same_col = v[0] == v[1]
-    a11 = int(np.count_nonzero(same_row & same_col))
-    d10 = int(np.count_nonzero(same_row & ~same_col))
-    d01 = int(np.count_nonzero(~same_row & same_col))
-    a00 = n_pairs - a11 - d10 - d01
+    cdf = pi.cells.ravel().cumsum()
+    cdf /= cdf[-1]
+    buckets = 1 << min((4 * cdf.size - 1).bit_length(), _GUIDE_MAX_BITS)
+    guide = cdf.searchsorted(np.arange(buckets) / buckets, side="right")
+    bits = (pi.q - 1).bit_length()
+    u, v = np.divmod(np.arange(cdf.size), pi.q)
+    codes = ((u << bits) | v).astype(np.min_scalar_type(pi.p << bits))
+    uniform = np.empty(min(n_pairs, _AGREEMENT_CHUNK))
+    bucket = np.empty(uniform.size, np.intp)
+
+    def draw(out: np.ndarray) -> np.ndarray:
+        r = rng.random(out=uniform[: out.size])
+        at = guide.take(np.multiply(r, buckets, out=bucket[: r.size], casting="unsafe"))
+        step = np.flatnonzero(cdf.take(at) <= r)
+        while step.size:
+            at[step] += 1
+            step = step[cdf.take(at[step]) <= r[step]]
+        return codes.take(at, out=out)
+
+    first = np.empty(n_pairs, codes.dtype)
+    for lo in range(0, n_pairs, uniform.size):
+        draw(first[lo : lo + uniform.size])
+    second = np.empty(uniform.size, codes.dtype)
+    a11 = same_row = same_col = 0
+    for lo in range(0, n_pairs, uniform.size):
+        a = first[lo : lo + uniform.size]
+        x = np.bitwise_xor(a, draw(second[: a.size]), out=second[: a.size])
+        a11 += int(np.count_nonzero(x == 0))
+        same_row += int(np.count_nonzero(x < 1 << bits))
+        same_col += int(np.count_nonzero(np.bitwise_and(x, (1 << bits) - 1, out=x) == 0))
+    d10 = same_row - a11
+    d01 = same_col - a11
     return AgreementCounts(
         agree_11=float(a11),
-        agree_00=float(a00),
+        agree_00=float(n_pairs - a11 - d10 - d01),
         disagree_10=float(d10),
         disagree_01=float(d01),
     )

@@ -283,7 +283,14 @@ def batch_samples(p, q, m, seed, n_streams):
 
 @pytest.mark.parametrize(
     "p, q, m, seed, n_streams",
-    [(3, 4, 200_000, 7, 1), (1, 1, 5, 0, 1), (10, 10, 200_001, 3, 2), (2, 9, 70_000, 11, 3)],
+    [
+        (3, 4, 200_000, 7, 1),
+        (1, 1, 5, 0, 1),
+        (10, 10, 200_001, 3, 2),
+        (2, 9, 70_000, 11, 3),
+        (1, 130, 1_001, 5, 1),
+        (17, 8, 20_000, 13, 2),
+    ],
 )
 def test_delta_monte_carlo_chunked_draws_are_bit_identical(p, q, m, seed, n_streams):
     from coupleclust._mc import run_streams
@@ -302,6 +309,21 @@ def test_delta_monte_carlo_chunked_draws_are_bit_identical(p, q, m, seed, n_stre
         assert est.mean == pytest.approx(float(d2.mean()), rel=1e-12, abs=0)
     std_error = float(d2.std(ddof=1) / math.sqrt(m))
     assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=0)
+
+
+def test_row_sums_are_numpy_row_sums_bit_for_bit():
+    # numpy's own order below 8 cells, across the eight-lane block up to
+    # 128 and past it, on chunks of many rows and of one row
+    from coupleclust.coupling import _row_sums
+
+    rng = np.random.default_rng(5)
+    for k in range(1, 141):
+        for rows in (1, 2, 1_000):
+            x = rng.standard_exponential((rows, k))
+            out = np.empty(rows)
+            got = _row_sums(x, out, np.empty((3, rows)))
+            assert got is out
+            assert got.tobytes() == x.sum(axis=1).tobytes(), (k, rows)
 
 
 def test_delta_monte_carlo_memory_is_bounded():

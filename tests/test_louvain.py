@@ -414,6 +414,23 @@ def test_search_graph_memory_per_stored_entry():
     assert peak <= 48 * g.indices.size
 
 
+def test_gain_screen_memory_per_node():
+    # A screen holds three read-only float64 arrays and the must-visit
+    # list, 32 bytes per node; a Python float list per bound held 104.
+    g = cc.gilbert(30000, 4e-5, rng=1)
+    sg = louvain_module._SearchGraph(g, cc.indetermination_criterion())
+    level = louvain_module._Level.singletons(sg)
+    tracemalloc.start()
+    try:
+        screen = louvain_module._Screen.build(sg, level)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert screen.cap.readonly and screen.wd.readonly and screen.ws.readonly
+    assert len(screen.cap) == g.n
+    assert held <= 40 * g.n
+
+
 def test_singleton_level_is_the_graph_csr_without_its_diagonal():
     from coupleclust.louvain import _Level, _SearchGraph
 
@@ -846,6 +863,42 @@ def test_settled_partitions_cut_the_move_phases(monkeypatch):
         for crit in CRITERIA:
             cc.louvain(g, crit, cc.LouvainConfig(seed=seed))
     assert len(phases) == 946
+
+
+def test_polish_runs_on_the_unmoved_last_level(monkeypatch):
+    # A level phase that moved nothing leaves the class graph of the labels
+    # the polish starts from, so the polish's first merge phase runs on it:
+    # no class graph is built twice in a row for the same labels, and the
+    # results are those of a polish that rebuilds it.
+    built = []
+    of_classes = louvain_module._Level.of_classes
+    polish = louvain_module._polish
+
+    def recorded(sg, labels):
+        built.append(labels.tobytes())
+        return of_classes(sg, labels)
+
+    def rebuilding(sg, labels, rng, trace, classes=None):
+        return polish(sg, labels, rng, trace)
+
+    monkeypatch.setattr(louvain_module._Level, "of_classes", staticmethod(recorded))
+    graphs = [cc.load_karate(), *small_pool(31)]
+    runs = {}
+    for reuse in (True, False):
+        if not reuse:
+            monkeypatch.setattr(louvain_module, "_polish", rebuilding)
+        results, repeats = [], 0
+        for g in graphs:
+            for crit in CRITERIA:
+                for seed in range(3):
+                    built.clear()
+                    sg = louvain_module._SearchGraph(g, crit)
+                    labels, trace = louvain_module._single_run(sg, np.random.default_rng(seed))
+                    results.append((labels.tobytes(), trace))
+                    repeats += sum(a == b for a, b in zip(built, built[1:]))
+        runs[reuse] = results, repeats
+    assert runs[True][0] == runs[False][0]
+    assert runs[True][1] == 0 < runs[False][1]
 
 
 def planted_graph(n=500, blocks=5, p_in=0.05, p_out=0.02, seed=7):

@@ -2,6 +2,7 @@
 characterization of the additive coupling."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -262,6 +263,67 @@ def test_sample_agreement_counts_reproducible():
     assert a == b
     with pytest.raises(cc.NonPositiveDimension):
         cc.sample_agreement_counts(pi, 0)
+
+
+def choice_agreement_counts(pi, n_pairs, rng):
+    """Reference: both draws from ``Generator.choice`` with ``p``, decoded
+    to rows and columns with ``divmod``."""
+    flat = pi.cells.ravel()
+    draws = rng.choice(flat.size, size=(2, n_pairs), p=flat)
+    u, v = np.divmod(draws, pi.q)
+    same_row, same_col = u[0] == u[1], v[0] == v[1]
+    a11 = int(np.count_nonzero(same_row & same_col))
+    d10 = int(np.count_nonzero(same_row & ~same_col))
+    d01 = int(np.count_nonzero(~same_row & same_col))
+    return cc.AgreementCounts(float(a11), float(n_pairs - a11 - d10 - d01), float(d10), float(d01))
+
+
+def agreement_joints():
+    rng = np.random.default_rng(3)
+    tiny = np.full((3, 40), 1e-9)
+    tiny[1, 7] += 1.0 - tiny.sum()
+    last = np.full((2, 30), 1e-12)
+    last[1, 29] += 1.0 - last.sum()
+    return {
+        "6x8": cc.couple_independence(cc.sample_dirichlet(6, rng), cc.sample_dirichlet(8, rng)),
+        "1x1": cc.JointDistribution.from_cells([[1.0]]),
+        "zero cells": cc.JointDistribution.from_cells([[0.0, 0.5, 0.0], [0.25, 0.0, 0.25]]),
+        "1xq": cc.JointDistribution.from_cells(np.full((1, 200), 1 / 200)),
+        "px1": cc.JointDistribution.from_cells([[0.1], [0.0], [0.6], [0.3]]),
+        # cells far below one bucket of the guide table, many to a bucket
+        "tiny cells": cc.JointDistribution.from_cells(tiny),
+        "tiny cells first": cc.JointDistribution.from_cells(last),
+        "17x16": cc.couple_independence(cc.sample_dirichlet(17, rng), cc.sample_dirichlet(16, rng)),
+    }
+
+
+@pytest.mark.parametrize("name", list(agreement_joints()))
+def test_sample_agreement_counts_are_those_of_generator_choice(name):
+    from coupleclust.relational import _AGREEMENT_CHUNK
+
+    pi = agreement_joints()[name]
+    for n_pairs in (1, 2, _AGREEMENT_CHUNK - 1, _AGREEMENT_CHUNK, _AGREEMENT_CHUNK + 1, 50_000):
+        ours, reference = np.random.default_rng(n_pairs), np.random.default_rng(n_pairs)
+        counts = cc.sample_agreement_counts(pi, n_pairs, rng=ours)
+        assert counts == choice_agreement_counts(pi, n_pairs, reference)
+        assert ours.bit_generator.state == reference.bit_generator.state
+
+
+def test_sample_agreement_counts_memory_is_bounded():
+    # one byte per pair for the first draws (two from 256 cell codes) and
+    # a chunk's buffers; the draws of Generator.choice and their rows and
+    # columns take 64 bytes per pair
+    n_pairs = 2_000_000
+    for name, itemsize in (("6x8", 1), ("17x16", 2)):
+        pi = agreement_joints()[name]
+        tracemalloc.start()
+        try:
+            counts = cc.sample_agreement_counts(pi, n_pairs, rng=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.total == n_pairs
+        assert peak <= n_pairs * itemsize + 1e6
 
 
 def test_relational_matrix_json():
