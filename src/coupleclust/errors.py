@@ -113,7 +113,11 @@ class ZeroEps(CoupleclustError, ValueError):
 
 
 class TooLarge(CoupleclustError, ValueError):
-    """Exhaustive partition enumeration is capped at n <= 10 nodes."""
+    """A size past a cap: exhaustive partition enumeration takes n <= 10
+    nodes; a graph takes n <= 3037000499 nodes, so that its row-major pair
+    codes ``i*n + j`` fit an int64; ``empirical_bias_samples`` takes
+    n <= 4294967298, so that the ``C(n-2, 2)`` pairs among the other nodes
+    fit one too."""
 
 
 class EdgeListParseError(CoupleclustError, ValueError):

@@ -27,9 +27,11 @@ never materializes an n x n criterion matrix and no code path but the
 
 from __future__ import annotations
 
+import io
 import math
 import operator
 import sys
+import warnings
 from dataclasses import dataclass
 from numbers import Real
 from pathlib import Path
@@ -43,6 +45,7 @@ from .errors import (
     EmptyGraph,
     NegativeEntry,
     NonFiniteEntry,
+    TooLarge,
     ZeroEps,
     _as_count,
     _as_generator,
@@ -69,6 +72,10 @@ __all__ = [
     "empirical_bias_difference_histogram",
     "load_edge_list",
 ]
+
+
+# The largest node count whose row-major pair codes i*n + j fit an int64.
+_MAX_NODES = math.isqrt(2**63)
 
 
 def _summed_entries(n: int, rows, cols, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,9 +222,12 @@ class WeightedGraph:
     def _from_arrays(cls, n: int, rows, cols, vals) -> "WeightedGraph":
         """Build from index and weight arrays, each undirected edge once;
         off-diagonal entries are mirrored here. Node indices must be
-        integers in ``[0, n)``; the weights are cast to float unchecked, so
+        integers in ``[0, n)``, and ``n`` at most ``_MAX_NODES``, else
+        :class:`TooLarge`; the weights are cast to float unchecked, so
         callers pass numeric arrays (a Gilbert draw may be bools)."""
         n = _as_count(n, "n", minimum=0)
+        if n > _MAX_NODES:
+            raise TooLarge(f"graphs are capped at {_MAX_NODES} nodes, got n = {n}")
         rows, cols = (
             _as_integers(a, "node indices").astype(np.int64, copy=False) for a in (rows, cols)
         )
@@ -319,7 +329,10 @@ def load_edge_list(path) -> WeightedGraph:
     symmetrizes. The node count is the largest index plus one. Blank lines
     are ignored; anything else malformed raises
     :class:`EdgeListParseError` with its 1-based line number. Duplicate
-    unordered pairs are rejected rather than summed.
+    unordered pairs are rejected rather than summed; an index of 3037000499
+    or more raises :class:`TooLarge`. numpy's text reader reads the file
+    first; the files it declines go to a loop over the lines, which gives
+    the same graphs and reports the first bad line.
     """
     text = Path(path).read_text()
     fast = _plain_edges(text)
@@ -360,73 +373,29 @@ def load_edge_list(path) -> WeightedGraph:
     return WeightedGraph._from_arrays(n, rows, cols, vals)
 
 
-# Byte classes of the plain edge-list format: 1 a digit, 2 a sign, point or
-# exponent character of a weight, 3 a field separator (tab or line break).
-_PLAIN_BYTES = np.zeros(256, dtype=np.uint8)
-_PLAIN_BYTES[np.frombuffer(b"0123456789", np.uint8)] = 1
-_PLAIN_BYTES[np.frombuffer(b"+-.eE", np.uint8)] = 2
-_PLAIN_BYTES[[9, 10]] = 3
-
-
-# Text length from which load_edge_list tries _plain_edges: its fixed cost,
-# some 30 numpy calls, is more than the line loop takes below about 80 lines.
-_PLAIN_MIN_CHARS = 1024
-
-
 def _plain_edges(text: str) -> tuple[int, np.ndarray, np.ndarray, np.ndarray] | None:
-    """``(n, rows, cols, weights)`` of an edge list of at least
-    ``_PLAIN_MIN_CHARS`` characters whose every line is
-    ``i<TAB>j<TAB>w`` in plain form: ASCII digits for ``i`` and ``j`` (at
-    most 18), digits and ``+-.eE`` for ``w``, no blank line, no pair listed
-    twice, and every weight finite and nonnegative; else None.
-
-    It checks in numpy what :func:`load_edge_list`'s line loop checks line
-    by line, and converts the weights with ``float`` as the loop does, so
-    it accepts a subset of the loop's files, with the same values. Any
-    other file, valid or not, is left to the loop, which also locates the
-    first bad line."""
-    if len(text) < _PLAIN_MIN_CHARS or not text.isascii():
+    """``(n, rows, cols, weights)`` of an edge list as numpy's text reader
+    reads it, where :func:`load_edge_list`'s line loop would give the same
+    graph; else None. The reader converts fields as ``int`` and ``float``
+    do, but strips as spaces the line breaks other than LF, where the loop
+    splits lines, and ``\\x1f``, which ``int`` refuses; so it declines text
+    that holds one of these or any non-ASCII character."""
+    if not text.isascii() or any(c in text for c in "\r\v\f\x1c\x1d\x1e\x1f"):
         return None
-    if not text.endswith("\n"):
-        text += "\n"
-    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    kind = _PLAIN_BYTES[raw]
-    sep = np.flatnonzero(kind == 3)
-    # separators tab, tab, line break on every line, and no field empty
-    if (
-        sep.size % 3
-        or (kind == 0).any()
-        or sep[0] == 0
-        or (np.diff(sep) == 1).any()
-        or not (raw[sep].reshape(-1, 3) == (9, 9, 10)).all()
-    ):
-        return None
-    # the index fields [lo, hi) of each line, right-aligned in columns as
-    # wide as the widest, whose digits then make the integers exactly
-    seps = sep.reshape(-1, 3)
-    hi = seps[:, :2]
-    lo = np.stack([np.concatenate(([0], seps[:-1, 2] + 1)), seps[:, 0] + 1], axis=1)
-    width = int((hi - lo).max())
-    if width > 18:
-        return None
-    at = hi[..., None] - np.arange(width, 0, -1)
-    inside = at >= lo[..., None]
-    at = np.where(inside, at, 0)
-    if ((kind[at] != 1) & inside).any():
-        return None
-    digits = np.where(inside, raw[at].astype(np.int64) - 48, 0)
-    ends = digits @ 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
     try:
-        vals = np.array([float(w) for w in text.replace("\n", "\t").split("\t")[2::3]])
-    except ValueError:
+        # a text with no rows, and in older numpy an index spelled 1.0, only warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            edges = np.loadtxt(io.StringIO(text), "i8,i8,f8", comments=None, delimiter="\t", ndmin=1)
+    except (ValueError, OverflowError, Warning):
         return None
-    if not (np.isfinite(vals).all() and (vals >= 0.0).all()):
+    i, j, w = edges["f0"], edges["f1"], edges["f2"]
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    n = int(hi.max()) + 1
+    if lo.min() < 0 or not (np.isfinite(w).all() and (w >= 0.0).all()) or n > _MAX_NODES:
         return None
-    n = int(ends.max()) + 1
-    pairs = np.sort(ends.min(axis=1) * n + ends.max(axis=1))
-    if (pairs[1:] == pairs[:-1]).any():
-        return None
-    return n, ends[:, 0], ends[:, 1], vals
+    pairs = np.sort(lo * n + hi)
+    return None if (pairs[1:] == pairs[:-1]).any() else (n, i, j, w)
 
 
 def _check_eps(eps: float, allow_zero: bool = True) -> None:
@@ -937,7 +906,7 @@ def empirical_bias_samples(
     Parameters
     ----------
     n : int
-        Node count, >= 2.
+        Node count, from 2 to 4294967298 (else :class:`TooLarge`).
     eps : float
         Edge probability in [0, 1].
     samples : int
@@ -959,6 +928,9 @@ def empirical_bias_samples(
         retained samples.
     """
     n, samples = _as_count(n, "n", minimum=2), _as_count(samples, "samples")
+    if n > 2**32 + 2:
+        # past it, C(n-2, 2), the count R's binomial draw takes, overflows int64
+        raise TooLarge(f"bias samples are capped at n = {2**32 + 2}, got n = {n}")
     _check_eps(eps)
     from ._mc import run_streams
 

@@ -260,6 +260,19 @@ def test_bias_hist_refuses_an_eps_whose_reciprocal_overflows(capsys, eps):
     assert_single_json_error(err, "ZeroEps")
 
 
+def test_bias_hist_refuses_a_node_count_whose_pair_count_overflows(capsys):
+    # C(n-2, 2), the pair count one binomial draw takes, fits an int64 up
+    # to n = 2**32 + 2
+    assert len(coupleclust.empirical_bias_samples(2**32 + 2, 0.5, 10, rng=0)[1]) == 10
+    for n in (2**32 + 3, 10**20):
+        with pytest.raises(coupleclust.TooLarge):
+            coupleclust.empirical_bias_samples(n, 0.5, 10, rng=0)
+        code, out, err = run_cli(capsys, ["bias-hist", str(n), "0.5", "--samples", "10"])
+        assert code == 1
+        assert out == ""
+        assert_single_json_error(err, "TooLarge")
+
+
 @pytest.mark.parametrize("extra", [[], ["--theoretical"]])
 def test_bias_hist_needs_a_node_pair(capsys, extra):
     code, out, err = run_cli(capsys, ["bias-hist", "1", "0.3"] + extra)
@@ -489,6 +502,26 @@ def test_cluster_out_of_memory_reports_error(capsys, monkeypatch, two_triangles_
     assert code == 1
     assert out == ""
     assert_single_json_error(err, "MemoryError")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "0\t9223372036854775807\t1.0\n",  # the largest int64
+        "1\t4611686018427387904\t1.0\n",  # 2**62
+        "0\t12345678901234567890\t1.0\n",  # past the int64 range
+    ],
+)
+def test_cluster_refuses_a_node_count_whose_pair_codes_overflow(capsys, tmp_path, line):
+    # row-major pair codes i*n + j fit an int64 up to n = 3037000499
+    path = tmp_path / "huge.tsv"
+    path.write_text(line)
+    with pytest.raises(coupleclust.TooLarge):
+        coupleclust.load_edge_list(path)
+    code, out, err = run_cli(capsys, ["cluster", str(path)])
+    assert code == 1
+    assert out == ""
+    assert_single_json_error(err, "TooLarge")
 
 
 def test_best_exhaustive_too_large(capsys, tmp_path):

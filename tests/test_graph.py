@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.stats import binom, chisquare
 
@@ -185,6 +187,13 @@ def test_zero_weight_entries_are_not_stored(n):
     assert a.nnz == 4
 
 
+def test_from_edges_refuses_a_node_count_whose_pair_codes_overflow():
+    # row-major pair codes i*n + j fit an int64 up to n = 3037000499
+    for n in (3037000500, 2**62):
+        with pytest.raises(cc.TooLarge):
+            cc.WeightedGraph.from_edges(n, [(0, 1, 1.0)])
+
+
 def test_sparse_input_matches_dense():
     rng = np.random.default_rng(1)
     a = np.triu(rng.random((12, 12)) < 0.4, 1).astype(float)
@@ -248,7 +257,7 @@ def test_load_edge_list_blank_lines_and_empty_file(tmp_path):
 
 
 def load_both_ways(path, monkeypatch):
-    """``load_edge_list(path)`` as it runs, and with its numpy fast path
+    """``load_edge_list(path)`` as it runs, and with its numpy reader
     switched off, so that the line loop reads every file; each an edge
     list's graph or the ``EdgeListParseError`` message."""
     results = []
@@ -263,38 +272,9 @@ def load_both_ways(path, monkeypatch):
     return results
 
 
-@pytest.mark.parametrize(
-    "text, fast",
-    [
-        ("0\t1\t1.0\n1\t2\t2.5\n", True),
-        ("0\t1\t1e0\n2\t1\t+1.5E-1", True),  # exponents, signs, no final line break
-        ("007\t1\t0.0\n3\t3\t-0.0\n", True),  # leading zeros, zero weights, a self-loop
-        ("+3\t1\t1.0\n", False),
-        (" 3\t1\t1.0\n", False),
-        ("1_0\t1\t1.0\n", False),
-        ("0\t1\t1_0\n", False),
-        ("0 1 1.0\n", False),  # space separated: the loop rejects it
-        ("0\t1\t1.0 \n", False),
-        ("0\t1\t1.0\r\n2\t1\t1.0\r\n", True),  # read in text mode, as line breaks
-        ("0\t1\t1.0\n\n2\t1\t1.0\n", False),
-        ("0\t1\t1.0\n2\t1\t1.0\n1\t0\t2.0\n", False),  # a duplicate pair
-        ("0\t1\t1e999\n", False),
-        ("0\t1\t-2.0\n", False),
-        ("0\t1\t1.2.3\n", False),
-        ("0\t1\t\n", False),
-        ("0\t1\n", False),
-        ("0\t1\t1.0\t\n", False),
-        ("\u0663\t1\t1.0\n", False),  # a non-ASCII digit, which int() reads
-    ],
-)
-def test_load_edge_list_fast_path_agrees_with_the_loop(tmp_path, monkeypatch, text, fast):
-    # The numpy fast path takes exactly the plain files; every other file
-    # goes to the line loop, so both ways give the same graph or the same
-    # error at the same line.
-    monkeypatch.setattr(graph_module, "_PLAIN_MIN_CHARS", 0)
-    path = tmp_path / "edges.tsv"
-    path.write_text(text, encoding="utf-8")
-    assert (graph_module._plain_edges(path.read_text()) is not None) == fast
+def assert_same_load(path, monkeypatch):
+    """Both ways of :func:`load_both_ways` give the same graph, array for
+    array in value and dtype, or the same error message."""
     got, loop = load_both_ways(path, monkeypatch)
     if isinstance(loop, str):
         assert got == loop
@@ -306,19 +286,111 @@ def test_load_edge_list_fast_path_agrees_with_the_loop(tmp_path, monkeypatch, te
         assert got.total_weight_2m == loop.total_weight_2m
 
 
+@pytest.mark.parametrize(
+    "text, fast",
+    [
+        ("0\t1\t1.0\n1\t2\t2.5\n", True),
+        ("0\t1\t1e0\n2\t1\t+1.5E-1", True),  # exponents, signs, no final line break
+        ("007\t1\t0.0\n3\t3\t-0.0\n", True),  # leading zeros, zero weights, a self-loop
+        ("+3\t1\t1.0\n", True),
+        (" 3\t1\t1.0\n", True),
+        ("1_0\t1\t1.0\n", False),
+        ("0\t1\t1_0\n", False),
+        ("0 1 1.0\n", False),  # space separated: the loop rejects it
+        ("0\t1\t1.0 \n", True),
+        ("0\t1\t1.0\r\n2\t1\t1.0\r\n", True),  # read in text mode, as line breaks
+        ("0\t1\t1.0\n\n2\t1\t1.0\n", True),
+        ("0\t1\t1.0\n2\t1\t1.0\n1\t0\t2.0\n", False),  # a duplicate pair
+        ("0\t1\t1e999\n", False),
+        ("0\t1\t-2.0\n", False),
+        ("0\t1\t1.2.3\n", False),
+        ("0\t1\t\n", False),
+        ("0\t1\n", False),
+        ("0\t1\t1.0\t\n", False),
+        ("\u0663\t1\t1.0\n", False),  # a non-ASCII digit, which int() reads
+        ("0\t1\f\t1.0\n", False),  # a line break to the loop, a space to numpy
+        ("0\t1\u2028\t1.0\n", False),  # the same, outside ASCII
+        ("0\t1\x1f\t1.0\n", False),  # a space to numpy, which int() refuses
+    ],
+)
+def test_load_edge_list_fast_path_agrees_with_the_loop(tmp_path, monkeypatch, text, fast):
+    # numpy's reader takes the files it reads as the loop does; every other
+    # file goes to the line loop, so both ways give the same graph or the
+    # same error at the same line.
+    path = tmp_path / "edges.tsv"
+    path.write_text(text, encoding="utf-8")
+    assert (graph_module._plain_edges(path.read_text()) is not None) == fast
+    assert_same_load(path, monkeypatch)
+
+
+# Texts over a small alphabet of the characters the reader and the loop
+# might read differently. The form feed and the line separator U+2028 end a
+# line for the loop but are spaces to the reader, and so is the unit
+# separator 0x1f, which int refuses; U+0663 is a digit to int.
+EDGE_TEXT_ALPHABET = "0123456789+-.eE_\t \n\f\x1f\u2028\u0663"
+SPACES = "\t \n\f\x1f\u2028"
+
+
+@st.composite
+def edge_list_texts(draw):
+    """A valid edge list of up to four lines, then one to three characters
+    of the alphabet, each put in, or over the character there, at a random
+    place or next to a separator: files a character or two away from valid,
+    which the reader and the loop must both take or both refuse."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=4))
+    weight = st.one_of(st.integers(0, 4).map(float), st.floats(0.0, 4.0))
+    weights = draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs)))
+    text = "".join(f"{i}\t{j}\t{w!r}\n" for (i, j), w in zip(pairs, weights))
+    for _ in range(draw(st.integers(1, 3))):
+        near = [0] + [k + side for k, c in enumerate(text) if c in "\t\n" for side in (0, 1)]
+        at = draw(st.one_of(st.integers(0, len(text)), st.sampled_from(near)))
+        over = draw(st.integers(0, 1))
+        char = draw(st.one_of(st.sampled_from(SPACES), st.sampled_from(EDGE_TEXT_ALPHABET)))
+        text = text[:at] + char + text[at + over :]
+    return text
+
+
+@settings(
+    max_examples=500,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(st.one_of(edge_list_texts(), st.text(EDGE_TEXT_ALPHABET, max_size=30)))
+def test_load_edge_list_reader_agrees_with_the_loop_on_random_texts(tmp_path, monkeypatch, text):
+    path = tmp_path / "edges.tsv"
+    path.write_text(text, encoding="utf-8")
+    assert_same_load(path, monkeypatch)
+
+
 def test_load_edge_list_reads_long_plain_files_in_numpy(tmp_path, monkeypatch):
-    # Files from save_edge_list are plain; from _PLAIN_MIN_CHARS characters
-    # on they take the fast path, with the loop's graph.
+    # Files from save_edge_list are plain, and numpy's reader takes them
+    # whatever their length, with the loop's graph: karate's file has 717
+    # characters.
     g = cc.gilbert_weighted(200, 0.05, 3, rng=2)
     path = tmp_path / "edges.tsv"
     g.save_edge_list(path)
-    text = path.read_text()
-    assert len(text) >= graph_module._PLAIN_MIN_CHARS
-    assert graph_module._plain_edges(text) is not None
-    assert graph_module._plain_edges(text[: graph_module._PLAIN_MIN_CHARS - 1]) is None
+    karate = cc.karate_path()
+    assert len(karate.read_text()) == 717
+    for source in (path, karate):
+        assert graph_module._plain_edges(source.read_text()) is not None
+        assert_same_load(source, monkeypatch)
     for h in load_both_ways(path, monkeypatch):
         for name in ("indptr", "indices", "data"):
             npt.assert_array_equal(getattr(h, name), getattr(g, name))
+
+
+def test_load_edge_list_reader_memory():
+    # The reader keeps the text once more and three columns, not a Python
+    # object per field: 8 MB traced on this 99887-line file.
+    text = cc.gilbert(20000, 5e-4, rng=1).edge_list_text()
+    tracemalloc.start()
+    try:
+        parsed = graph_module._plain_edges(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed is not None and parsed[1].size == 99887
+    assert peak < 16 * 2**20
 
 
 def test_karate_data():

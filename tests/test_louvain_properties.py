@@ -171,6 +171,36 @@ def test_class_graph_matches_pair_loop(case):
 
 
 @PROPERTY
+@given(
+    st.integers(2, 40),
+    st.floats(0.02, 0.6),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_criteria_differ_by_a_rank_one_term(n, eps, max_weight, seed, data):
+    # From the two block formulas alone, with d̄ = 2M/n, every partition P
+    # has indet(P) = 2M*indep(P) + sum_C (D_C - S_C*d̄)**2 / 2M, where D_C
+    # is class C's degree mass and S_C its size; each pair has
+    # b_x - b_+ = (d_i - d̄)(d_j - d̄) / 2M. An oracle for both scoring
+    # paths that uses neither.
+    g = cc.gilbert_weighted(n, eps, max_weight, rng=seed)
+    two_m = g.total_weight_2m
+    assume(two_m > 0)
+    part = cc.Partition.from_labels(
+        data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    )
+    indep, indet = (cc.global_score(g, criterion, part) for criterion in CRITERIA)
+    excess = g.degrees - two_m / n
+    term = (np.bincount(part.labels, weights=excess) ** 2).sum() / two_m
+    assert abs(indet - (two_m * indep + term)) <= 1e-12 * two_m
+    for _ in range(3):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        b_x, b_plus = cc.bias_independence(g, i, j), cc.bias_indetermination(g, i, j)
+        assert_close(b_x - b_plus, excess[i] * excess[j] / two_m, rel=1e-12)
+
+
+@PROPERTY
 @given(graphs(), st.sampled_from(CRITERIA), st.integers(0, 2**32 - 1))
 def test_louvain_trace_never_decreases(g, criterion, seed):
     assume(g.total_weight_2m > 0)
