@@ -114,8 +114,10 @@ class ZeroEps(CoupleclustError, ValueError):
 
 class TooLarge(CoupleclustError, ValueError):
     """A size past a cap: exhaustive partition enumeration takes n <= 10
-    nodes; a graph takes n <= 3037000499 nodes, so that its row-major pair
-    codes ``i*n + j`` fit an int64; ``empirical_bias_samples`` takes
+    nodes; a graph, a Gilbert draw and the exact bias laws take
+    n <= 3037000499 nodes, so that a graph's row-major pair codes
+    ``i*n + j`` fit an int64, checked before any per-node array is
+    allocated; ``empirical_bias_samples`` takes
     n <= 4294967298, so that the ``C(n-2, 2)`` pairs among the other nodes
     fit one too."""
 

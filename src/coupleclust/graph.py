@@ -78,6 +78,16 @@ __all__ = [
 _MAX_NODES = math.isqrt(2**63)
 
 
+def _node_count(n, minimum: int = 1) -> int:
+    """``n`` as a node count of at least ``minimum`` (see :func:`_as_count`)
+    and at most ``_MAX_NODES``, else :class:`TooLarge`; checked before
+    anything is allocated per node."""
+    n = _as_count(n, "n", minimum=minimum)
+    if n > _MAX_NODES:
+        raise TooLarge(f"graphs are capped at {_MAX_NODES} nodes, got n = {n}")
+    return n
+
+
 def _summed_entries(n: int, rows, cols, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The entries ``vals`` at ``(rows, cols)`` of an n x n matrix as
     row-major codes ``i*n + j``, ascending, with their weights: duplicates
@@ -225,9 +235,7 @@ class WeightedGraph:
         integers in ``[0, n)``, and ``n`` at most ``_MAX_NODES``, else
         :class:`TooLarge`; the weights are cast to float unchecked, so
         callers pass numeric arrays (a Gilbert draw may be bools)."""
-        n = _as_count(n, "n", minimum=0)
-        if n > _MAX_NODES:
-            raise TooLarge(f"graphs are capped at {_MAX_NODES} nodes, got n = {n}")
+        n = _node_count(n, minimum=0)
         rows, cols = (
             _as_integers(a, "node indices").astype(np.int64, copy=False) for a in (rows, cols)
         )
@@ -426,9 +434,10 @@ def gilbert(
     generator's final state are those of one sequential draw whatever the
     thread count. Uniforms are drawn in fixed-size blocks into one reused
     buffer per thread, so memory is O(n + m + threads * _PAIR_BLOCK) for
-    m edges.
+    m edges. An ``n`` past 3037000499, the graph cap, raises
+    :class:`TooLarge` before any of it is allocated.
     """
-    n = _as_count(n, "n")
+    n = _node_count(n)
     _check_eps(eps)
     rng = _as_generator(rng)
     return _upper_triangle_graph(n, rng, lambda gen, u: gen.random(out=u) < eps, seekable=True)
@@ -450,7 +459,7 @@ def gilbert_weighted(
     so no pair's offset in the stream is known in advance); a seed always
     gives the same graph, and memory is O(n + m + _PAIR_BLOCK) for m edges.
     """
-    n, max_weight = _as_count(n, "n"), _as_count(max_weight, "max_weight")
+    n, max_weight = _node_count(n), _as_count(max_weight, "max_weight")
     _check_eps(eps)
     rng = _as_generator(rng)
     return _upper_triangle_graph(n, rng, lambda gen, u: gen.binomial(max_weight, eps, size=u.size))
@@ -712,7 +721,7 @@ def _degree_rows(n: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
     and seven eps from 1e-6 to 0.999; at most 2.0e-12 against 40-digit
     mpmath at k up to 37 standard deviations from the mean, n up to 1e6,
     about as scipy's ``binom.pmf``. Each row sums to 1 within 1e-15."""
-    n = _as_count(n, "n")
+    n = _node_count(n)
     _check_eps(eps, allow_zero=False)
     row = _binomial_row(n - 1, eps)
     return np.append(row, 0.0), np.insert(row, 0, 0.0)
@@ -917,7 +926,12 @@ def empirical_bias_samples(
         with False they use the ``n**2 * eps`` convention of the
         theoretical formulas.
     n_streams : int
-        Deterministic substream count (see :mod:`coupleclust._mc`).
+        Deterministic substream count (see :mod:`coupleclust._mc`). With
+        two or more streams on two or more usable CPUs, each call starts a
+        thread pool and joins it before it returns. At ``(n, eps,
+        samples) = (200, 0.3, 4096)`` that cost more than the second
+        stream saved: :func:`empirical_bias_histogram` took 1.33 ms with
+        2 streams against 0.93 ms with 1.
 
     Returns
     -------
@@ -960,6 +974,9 @@ def empirical_bias_histogram(
     realized-2M convention when a graph comes up sparse) are clipped into
     the edge bins so no mass is dropped. ``eps = 0`` yields an all-zero
     ``b_x`` histogram: every graph is empty, so every sample is dropped.
+    ``n_streams`` above 1 starts and joins a thread pool per call, which
+    cost more than the second stream saved at ``(200, 0.3, 4096)``:
+    1.33 ms with 2 streams against 0.93 ms with 1.
     """
     if eps == 0.0:
         # Degenerate but well-defined: b_+ is identically 0; use the

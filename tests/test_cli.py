@@ -12,6 +12,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +272,48 @@ def test_bias_hist_refuses_a_node_count_whose_pair_count_overflows(capsys):
         assert code == 1
         assert out == ""
         assert_single_json_error(err, "TooLarge")
+
+
+@pytest.mark.parametrize("n", [10**20, 4_000_000_000])
+def test_gilbert_and_exact_laws_refuse_a_node_count_past_the_graph_cap(capsys, monkeypatch, n):
+    # Graphs are capped at 3037000499 nodes; a Gilbert draw and the exact
+    # bias laws must say so before they allocate anything per node. The
+    # per-node work is patched to fail, so a missing check cannot allocate
+    # here, and the traced peak shows that nothing large was allocated.
+    graph = sys.modules["coupleclust.graph"]
+
+    def allocates(*args, **kwargs):
+        raise AssertionError("per-node work reached past the cap")
+
+    monkeypatch.setattr(graph, "_upper_triangle_graph", allocates)
+    monkeypatch.setattr(graph, "_binomial_row", allocates)
+    laws = [
+        lambda: coupleclust.gilbert(n, 0.0, rng=0),
+        lambda: coupleclust.gilbert_weighted(n, 0.3, 2, rng=0),
+        lambda: coupleclust.theoretical_joint_pmf(n, 0.3),
+        lambda: coupleclust.theoretical_bias_histograms(n, 0.3),
+        lambda: coupleclust.theoretical_bias_difference_distribution(n, 0.3),
+    ]
+    commands = [
+        ["gilbert", str(n), "0.0"],
+        ["gilbert", str(n), "0.3", "--max-weight", "2"],
+        ["bias-hist", str(n), "0.3", "--theoretical"],
+        ["bias-hist", str(n), "0.3", "--theoretical", "--which", "difference"],
+    ]
+    cli._parser()  # built once per process, outside the traced span
+    tracemalloc.start()
+    try:
+        for law in laws:
+            with pytest.raises(coupleclust.TooLarge, match="3037000499"):
+                law()
+        for argv in commands:
+            code, out, err = run_cli(capsys, argv)
+            assert (code, out) == (1, "")
+            assert_single_json_error(err, "TooLarge")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("extra", [[], ["--theoretical"]])

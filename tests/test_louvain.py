@@ -764,11 +764,51 @@ def escape_pool():
             yield cc.WeightedGraph.from_edges(n, edges), (0, 1)
 
 
-def test_escape_cache_changes_nothing():
+def gilbert_escape_pool():
+    """The 240 fixed escape-pass cases of ROADMAP item 8, as
+    ``(graph, criterion, canonical start)``: ``gilbert`` and
+    ``gilbert_weighted(max_weight=5)`` graphs with n = 20, 40, 60, 100 and
+    128 and mean degree about 6, 4 seeds each, both criteria, and 3 seeded
+    random starts with 2, 4 and 8 labels."""
+    for n in (20, 40, 60, 100, 128):
+        for seed in range(4):
+            for g in (cc.gilbert(n, 6.0 / n, rng=seed), cc.gilbert_weighted(n, 6.0 / n, 5, rng=seed)):
+                for crit in (cc.independence_criterion(), cc.indetermination_criterion()):
+                    rng = np.random.default_rng([n, seed])
+                    for k in (2, 4, 8):
+                        yield g, crit, louvain_module._canonical(rng.integers(0, k, size=n))
+
+
+def real_weight_pool():
+    """Escape-pass cases on real-valued weights, as ``(graph, criterion,
+    canonical start)``: Gilbert graphs with n = 12, 30 and 60 whose
+    edges carry uniform, lognormal or 0.1-rounded weights, both criteria,
+    and seeded random starts with 3 and n / 5 labels."""
+    rng = np.random.default_rng(20261022)
+    laws = (
+        lambda m: rng.uniform(0.01, 3.0, m),
+        lambda m: rng.lognormal(0.0, 1.5, m),
+        lambda m: np.round(rng.uniform(0.1, 2.0, m), 1),
+    )
+    for n in (12, 30, 60):
+        for law in laws:
+            g = cc.gilbert(n, 5.0 / n, rng=n)
+            rows = np.repeat(np.arange(n), np.diff(g.indptr))
+            upper = rows < g.indices
+            w = law(int(upper.sum()))
+            g = cc.WeightedGraph.from_edges(n, list(zip(rows[upper].tolist(), g.indices[upper].tolist(), w.tolist())))
+            for crit in (cc.independence_criterion(), cc.indetermination_criterion()):
+                for k in (3, n // 5):
+                    yield g, crit, louvain_module._canonical(rng.integers(0, k, size=n))
+
+
+def test_escape_cache_changes_nothing(monkeypatch):
     # The reference runs every restart on a search graph of its own, so no
-    # settled partition is shared. The same streams then run on one search
-    # graph per criterion, shared by all restarts and seeds, one after
-    # another and raced; labels and traces must not change.
+    # settled partition is shared, and with escape bounds that stay +inf,
+    # so every forced step prices every unlocked node. The same streams
+    # then run on one search graph per criterion, shared by all restarts
+    # and seeds, one after another and raced, with the bounds; labels and
+    # traces must not change.
     search_graph = louvain_module._SearchGraph
     single_run = louvain_module._single_run
     checked = 0
@@ -776,10 +816,12 @@ def test_escape_cache_changes_nothing():
         for crit in CRITERIA:
             shared = search_graph(g, crit)
             for seed in seeds:
-                alone = [
-                    single_run(search_graph(g, crit), stream)
-                    for stream in np.random.default_rng(seed).spawn(8)
-                ]
+                with monkeypatch.context() as patch:
+                    unbounded_escape(patch)
+                    alone = [
+                        single_run(search_graph(g, crit), stream)
+                        for stream in np.random.default_rng(seed).spawn(8)
+                    ]
                 here = [single_run(shared, s) for s in np.random.default_rng(seed).spawn(8)]
                 raced = louvain_module._race(shared, np.random.default_rng(seed).spawn(8))
                 for runs in (here, raced):
@@ -821,6 +863,61 @@ def test_escape_pass_reuses_its_result(monkeypatch):
         expected, expected_improved = escape(sg, np.frombuffer(key, dtype=np.int64))
         npt.assert_array_equal(result, expected)
         assert improved == expected_improved
+
+
+def unbounded_escape(monkeypatch):
+    """Keep every escape bound at +inf, so that each step prices every
+    unlocked node, as the pass did before it had bounds."""
+    monkeypatch.setattr(louvain_module._EscapeBounds, "priced", lambda self, level, node, gain: None)
+
+
+def test_escape_bounds_cut_the_karate_kernel_calls(monkeypatch):
+    # A work count, not a timing: the kernel calls of the escape passes of
+    # karate's races, seeds 0-9 under both criteria. With bounds that stay
+    # +inf, as before the bounds, the same 35 passes make 20825.
+    calls, inside = [], []
+    best_move, escape = louvain_module._best_move, louvain_module._escape_pass
+
+    def counted(*args, **kwargs):
+        if inside:
+            calls.append(True)
+        return best_move(*args, **kwargs)
+
+    def flagged(sg, start):
+        inside.append(True)
+        try:
+            return escape(sg, start)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(louvain_module, "_best_move", counted)
+    monkeypatch.setattr(louvain_module, "_escape_pass", flagged)
+    karate = cc.load_karate()
+    for crit in CRITERIA:
+        for seed in range(10):
+            cc.louvain(karate, crit, cc.LouvainConfig(seed=seed))
+    assert len(calls) == 6103
+
+
+def test_escape_bounds_change_no_pass(monkeypatch):
+    # Direct passes from random starts, on item 8's 240 cases and on
+    # real-valued weights: labels and the improved flag are those of the
+    # pass whose bounds stay +inf.
+    escape = louvain_module._escape_pass
+    for pool, cases in ((gilbert_escape_pool, 240), (real_weight_pool, 36)):
+        checked = 0
+        sg = None
+        for g, crit, start in pool():
+            if sg is None or sg.g is not g or sg.criterion is not crit:
+                sg = louvain_module._SearchGraph(g, crit)
+            labels, improved = escape(sg, start)
+            with monkeypatch.context() as patch:
+                unbounded_escape(patch)
+                expected, expected_improved = escape(sg, start)
+            npt.assert_array_equal(labels, expected)
+            assert improved == expected_improved
+            checked += 1
+        assert checked == cases
 
 
 def small_pool(seed: int):

@@ -17,6 +17,7 @@ from scipy import sparse
 import coupleclust as cc
 from coupleclust.louvain import (
     _ESCAPE_CAP,
+    _EscapeBounds,
     _Level,
     _Screen,
     _SearchGraph,
@@ -376,3 +377,103 @@ def test_gain_screen_sees_the_fresh_class_a_join_opens():
     assert gain > sg.tol and b == 3  # the fresh slot past the last class
     assert not screen.skips(0)
     assert_screen_sound(sg, level, screen, 0, 2.0)
+
+
+def nonempty_classes(level):
+    return [c for c, size in enumerate(level.cls_size) if size > 0.0]
+
+
+def assert_escape_bounds_sound(level, bounds, free):
+    """Every unlocked node's escape gain, recomputed by the kernel against
+    the nonempty classes, is within its widened bound."""
+    nonempty = nonempty_classes(level)
+    for node in free:
+        assert _best_move(level, node, nonempty)[0] <= bounds.bound[node], node
+
+
+def escape_step(level, bounds, free, node, dst):
+    """Force ``node`` into class ``dst`` and lock it, as an escape step does."""
+    src = _move(level, node, dst)
+    free.remove(node)
+    bounds.moved(level, free, node, src)
+
+
+@PROPERTY
+@given(graphs_with_labels(max_n=14), st.sampled_from(CRITERIA), st.data())
+def test_escape_bounds_bound_every_forced_step(case, criterion, data):
+    # Real-valued weights, random starts and random forced moves: a node's
+    # best move or one into any other class, a singleton class (a lone node
+    # gets company) or a fresh class (dst opens), and moves of lone nodes
+    # (src empties). Some unlocked nodes are repriced after each step, as
+    # the pass reprices those near the top of its order.
+    g, part = case
+    assume(g.total_weight_2m > 0)
+    sg = _SearchGraph(g, criterion)
+    level = _Level.from_partition(sg, part.labels)
+    bounds = _EscapeBounds(sg, level)
+    free = list(range(g.n))
+    nonempty = nonempty_classes(level)
+    for node in free:
+        bounds.priced(level, node, _best_move(level, node, nonempty)[0])
+    assert_escape_bounds_sound(level, bounds, free)
+    for _ in range(data.draw(st.integers(0, 6))):
+        if not free:
+            break
+        sizes = level.cls_size
+        lone = [i for i in free if sizes[level.labels[i]] == 1.0]
+        node = data.draw(st.sampled_from(lone if lone and data.draw(st.booleans()) else free))
+        a = level.labels[node]
+        live = [c for c in nonempty_classes(level) if c != a]
+        targets = {
+            "best": [_best_move(level, node, nonempty_classes(level))[1]],
+            "any": live,
+            "singleton": [c for c in live if sizes[c] == 1.0],
+            "fresh": [sizes.index(0.0) if 0.0 in sizes else len(sizes)] if sizes[a] > 1.0 else [],
+        }[data.draw(st.sampled_from(["best", "any", "singleton", "fresh"]))]
+        if not targets or targets[0] < 0:
+            continue
+        escape_step(level, bounds, free, node, data.draw(st.sampled_from(targets)))
+        nonempty = nonempty_classes(level)
+        assert_escape_bounds_sound(level, bounds, free)
+        for i in data.draw(st.lists(st.sampled_from(free), unique=True)) if free else []:
+            bounds.priced(level, i, _best_move(level, i, nonempty)[0])
+
+
+# Forced moves after which an escape bound fails if its widening drops a
+# term; each is checked after every node was priced once.
+ESCAPE_WIDENINGS = {
+    # lone node 1 gains nothing, then node 0 opens class 2: the fresh class
+    # that a lone node's bound covers
+    "lone-dst-opens": ("indetermination", 4, [(1, 3, 0.5), (2, 3, 2.0)], [0, 1, 0, 0], [(0, 2)]),
+    # node 2 leaves node 0's class: the doubled rate of a node in src
+    "own-class-src": (
+        "indetermination", 5, [(0, 1, 1.0), (1, 3, 3.0), (1, 4, 2.0), (3, 4, 2.0)], [0, 0, 0, 0, 1], [(2, 2)]
+    ),
+    # node 4 leaves its neighbour 2's class: the doubled weight term
+    "neighbour-in-src": (
+        "independence", 5, [(0, 1, 3.0), (0, 3, 1.0), (0, 4, 1.0), (2, 4, 1.0), (3, 4, 1.0)], [0, 1, 1, 1, 1], [(4, 2)]
+    ),
+    # node 0 leaves its neighbour 3: the weight term itself
+    "neighbour-weight": ("independence", 4, [(0, 3, 1.0), (1, 2, 2.0), (1, 3, 2.0)], [0, 1, 0, 0], [(0, 2)]),
+    # node 1 joins lone node 0, which can now leave for a fresh class; node
+    # 3, left alone, leaves too and empties its class; node 4 opens it again
+    "join-empty-open": (
+        "indetermination", 5, [(0, 4, 1.0), (1, 4, 2.0), (2, 4, 2.0)], [0, 1, 2, 1, 2], [(1, 0), (3, 0), (4, 1)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESCAPE_WIDENINGS))
+def test_escape_bounds_widen_by_every_term(name):
+    kind, n, edges, labels, moves = ESCAPE_WIDENINGS[name]
+    g = cc.WeightedGraph.from_edges(n, edges)
+    sg = _SearchGraph(g, cc.criterion_by_name(kind))
+    level = _Level.from_partition(sg, np.array(labels))
+    bounds = _EscapeBounds(sg, level)
+    free = list(range(n))
+    nonempty = nonempty_classes(level)
+    for node in free:
+        bounds.priced(level, node, _best_move(level, node, nonempty)[0])
+    for node, dst in moves:
+        escape_step(level, bounds, free, node, dst)
+        assert_escape_bounds_sound(level, bounds, free)
