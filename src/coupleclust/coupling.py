@@ -34,6 +34,7 @@ from .errors import (
     ConditionHViolated,
     DimensionMismatch,
     NegativeEntry,
+    NonFiniteEntry,
     SumNotOne,
     _as_count,
     _as_finite_reals,
@@ -349,9 +350,9 @@ class DeltaEstimate(Record):
     Attributes
     ----------
     mean : float
-        Sample mean of the squared distances (always >= 0).
+        Sample mean of the squared distances (always finite and >= 0).
     std_error : float
-        Sample standard deviation / sqrt(n_samples).
+        Sample standard deviation / sqrt(n_samples), finite and >= 0.
     n_samples : int
     """
 
@@ -361,60 +362,14 @@ class DeltaEstimate(Record):
 
     def __post_init__(self):
         _as_count(self.n_samples, "n_samples")
+        if not (math.isfinite(self.mean) and math.isfinite(self.std_error)):
+            raise NonFiniteEntry("estimate fields must be finite")
         if self.mean < 0 or self.std_error < 0:
             raise NegativeEntry("estimate fields must be nonnegative")
 
 
 # Margin entries drawn at once by _delta_stream.
 _DRAW_CELLS = 1 << 16
-
-# Row lengths up to which numpy sums a contiguous row as one block (its
-# PW_BLOCKSIZE); _row_sums repeats that block's order column by column.
-_PAIRWISE_BLOCK = 128
-
-
-def _row_sums(x: np.ndarray, out: np.ndarray, tmp: np.ndarray | None) -> np.ndarray:
-    """``x.sum(axis=1)`` into ``out``, equal bit for bit, for a C-contiguous
-    ``(rows, k)`` array.
-
-    numpy sums each row on its own, a short inner loop per row; here each
-    step is one pass over a column of all rows, in the order numpy's
-    pairwise summation (Higham, SIAM J. Sci. Comput. 14, 783, 1993) adds
-    a row of up to ``_PAIRWISE_BLOCK`` cells: below 8 cells left to right;
-    from 8 on, eight lanes ``r_j = x_j + x_(j+8) + ...`` over the cells
-    up to the last multiple of 8, combined as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the other cells added in
-    order. Longer rows, where numpy's own loop is long, go to ``x.sum``.
-    ``tmp`` holds three rows-long scratch rows when ``8 <= k <= 128``.
-    """
-    rows, k = x.shape
-    if k > _PAIRWISE_BLOCK:
-        return np.sum(x, axis=1, out=out)
-    cols = x.T
-    if k < 8:
-        head = 1
-        np.copyto(out, cols[0])
-    else:
-        head = k - k % 8
-
-        def lane(j: int, buf: np.ndarray) -> np.ndarray:
-            if j + 8 >= head:
-                return cols[j]
-            np.add(cols[j], cols[j + 8], out=buf)
-            for i in range(j + 16, head, 8):
-                buf += cols[i]
-            return buf
-
-        def pair(j: int, buf: np.ndarray) -> np.ndarray:
-            return np.add(lane(j, buf), lane(j + 1, spare), out=buf)
-
-        b, c, spare = tmp[0, :rows], tmp[1, :rows], tmp[2, :rows]
-        np.add(pair(0, out), pair(2, b), out=out)
-        np.add(pair(4, b), pair(6, c), out=b)
-        out += b
-    for j in range(head, k):
-        out += cols[j]
-    return out
 
 
 def _delta_stream(p: int, q: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -429,34 +384,30 @@ def _delta_stream(p: int, q: int, m: int, rng: np.random.Generator) -> np.ndarra
 
     All ``m`` margins ``mu`` are drawn first, then all ``nu``, each in
     chunks of rows of at most ``_DRAW_CELLS`` entries; a chunk is reduced
-    to its factors at once. Chunked draws consume the stream as one
-    ``(m, p)`` and one ``(m, q)`` draw would and row sums do not depend on
-    the chunk, so the result is the same to the last bit. Both margins'
-    chunks are drawn into one reused buffer (standard exponentials are the
-    unit-scale exponentials, bit for bit). The two row sums of a chunk are
-    :func:`_row_sums`, numpy's own summation order in passes over whole
-    columns, so the result is also that of ``x.sum(axis=1)`` to the last
-    bit; the divide, centre and square are passes over the whole chunk.
+    to its factors at once. Both margins' chunks are drawn into one reused
+    buffer (standard exponentials are the unit-scale exponentials, bit for
+    bit). The two row sums of a chunk are one ``np.einsum("ij->i")`` each,
+    which adds a row's cells in an order set by its length alone. Chunked
+    draws consume the stream as one ``(m, p)`` and one ``(m, q)`` draw
+    would, so the result is that of one whole-array pass to the last bit;
+    the divide, centre and square are passes over the whole chunk.
 
-    O(m (p + q)) time, mostly the exponential draws: at p, q <= 10 a
-    chunk's reductions cost less than its draws. Memory O(m) for the
-    result, plus one chunk, one row sum per chunk row and, from 8 to 128
-    cells, three more scratch rows of that length: at most one more chunk.
+    O(m (p + q)) time, mostly the exponential draws. Memory O(m) for the
+    result, plus one chunk and one row sum per chunk row.
     """
     d2 = np.ones(m)
     chunk = np.empty(max(_DRAW_CELLS, p, q))
     for k in (p, q):
         step = max(1, _DRAW_CELLS // k)
         sums = np.empty(min(step, m))
-        tmp = np.empty((3, sums.size)) if 8 <= k <= _PAIRWISE_BLOCK else None
         for lo in range(0, m, step):
             rows = min(step, m - lo)
             x = rng.standard_exponential(out=chunk[: rows * k].reshape(rows, k))
-            s = _row_sums(x, sums[:rows], tmp)
+            s = np.einsum("ij->i", x, out=sums[:rows])
             x /= s[:, None]
             x -= 1.0 / k
             x *= x
-            d2[lo : lo + rows] *= _row_sums(x, s, tmp)
+            d2[lo : lo + rows] *= np.einsum("ij->i", x, out=s)
     return d2
 
 
@@ -465,19 +416,13 @@ def _delta_moments(
 ) -> tuple[int, float, float]:
     """Count, mean and sum of squared deviations from the mean of one
     stream's :func:`_delta_stream` samples. The mean is the array's own
-    ``mean()``; the squared deviations are summed ``_DRAW_CELLS`` samples at
-    a time in one reused buffer, so beyond the samples the memory is one
-    chunk."""
+    ``mean()``; the deviations are squared in place in the samples, so
+    they take no memory of their own."""
     d2 = _delta_stream(p, q, m, rng)
     mean = float(d2.mean())
-    sq_dev = 0.0
-    chunk = np.empty(min(m, _DRAW_CELLS))
-    for lo in range(0, m, chunk.size):
-        dev = chunk[: min(chunk.size, m - lo)]
-        np.subtract(d2[lo : lo + dev.size], mean, out=dev)
-        dev *= dev
-        sq_dev += float(dev.sum())
-    return m, mean, sq_dev
+    d2 -= mean
+    d2 *= d2
+    return m, mean, float(d2.sum())
 
 
 def delta_monte_carlo(
@@ -519,8 +464,9 @@ def delta_monte_carlo(
         of squared deviations, and the streams are combined in stream order
         by the pairwise update of Chan et al., so no stream's samples are
         copied or concatenated. O(n_samples (p + q)) time; memory one
-        float per sample plus at most two draw chunks per stream. A
-        sample's sums add its cells in the order ``x.sum(axis=1)`` does.
+        float per sample plus one draw chunk and its row sums per stream.
+        A sample's sums add its cells in an order set by p or q alone, so
+        the result does not depend on how the draws are chunked.
 
     Raises
     ------

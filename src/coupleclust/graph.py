@@ -651,7 +651,8 @@ class BiasHistogram(Record):
 
     ``counts`` are sample counts for empirical histograms and probability
     masses for theoretical ones; ``which`` tags the quantity binned
-    (``"independence"``, ``"indetermination"`` or ``"difference"``).
+    (``"independence"``, ``"indetermination"`` or ``"difference"``). Edges
+    and counts must be finite (:class:`NonFiniteEntry` otherwise).
     """
 
     bin_edges: np.ndarray
@@ -662,6 +663,8 @@ class BiasHistogram(Record):
         edges, counts = self._own("bin_edges"), self._own("counts")
         if edges.ndim != 1 or counts.ndim != 1 or edges.size != counts.size + 1:
             raise DimensionMismatch("need len(bin_edges) == len(counts) + 1")
+        if not (np.isfinite(edges).all() and np.isfinite(counts).all()):
+            raise NonFiniteEntry("bin_edges and counts must be finite")
 
     @property
     def total(self) -> float:

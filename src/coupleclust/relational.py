@@ -26,6 +26,7 @@ from .errors import (
     DegenerateDimensions,
     DimensionMismatch,
     NegativeEntry,
+    NonFiniteEntry,
     NotEquivalenceRelation,
     _as_count,
     _as_generator,
@@ -112,7 +113,8 @@ class AgreementCounts(Record):
     * ``disagree_01`` = sum(Xbar * Y)
 
     For count matrices the four sum to n**2; for the normalized expectation
-    terms of :func:`expected_agreement_terms` they sum to 1.
+    terms of :func:`expected_agreement_terms` they sum to 1. Each must be
+    finite (:class:`NonFiniteEntry`) and nonnegative (:class:`NegativeEntry`).
     """
 
     agree_11: float
@@ -122,7 +124,10 @@ class AgreementCounts(Record):
 
     def __post_init__(self):
         for name in ("agree_11", "agree_00", "disagree_10", "disagree_01"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise NonFiniteEntry(f"{name} must be finite")
+            if value < 0:
                 raise NegativeEntry(f"{name} must be nonnegative")
 
     @property

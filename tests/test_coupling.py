@@ -268,15 +268,20 @@ def test_delta_monte_carlo_thread_pool_matches_sequential(monkeypatch):
 
 def batch_samples(p, q, m, seed, n_streams):
     """Reference: one (m, p) and one (m, q) Dirichlet draw per stream, the
-    squared distances as first computed, concatenated in stream order."""
+    squared distances computed on the whole draws, concatenated in stream
+    order. Row sums are the estimator's own reduction, which must not
+    depend on how many rows it is handed at once."""
     from coupleclust._mc import run_streams
+
+    def row_sums(x):
+        return np.einsum("ij->i", x)
 
     def stream(rng, m):
         mu = rng.exponential(size=(m, p))
-        mu /= mu.sum(axis=1, keepdims=True)
+        mu /= row_sums(mu)[:, None]
         nu = rng.exponential(size=(m, q))
-        nu /= nu.sum(axis=1, keepdims=True)
-        return ((mu - 1.0 / p) ** 2).sum(axis=1) * ((nu - 1.0 / q) ** 2).sum(axis=1)
+        nu /= row_sums(nu)[:, None]
+        return row_sums((mu - 1.0 / p) ** 2) * row_sums((nu - 1.0 / q) ** 2)
 
     return np.concatenate(run_streams(stream, m, seed, n_streams))
 
@@ -290,6 +295,7 @@ def batch_samples(p, q, m, seed, n_streams):
         (2, 9, 70_000, 11, 3),
         (1, 130, 1_001, 5, 1),
         (17, 8, 20_000, 13, 2),
+        (140, 131, 3_001, 2, 2),
     ],
 )
 def test_delta_monte_carlo_chunked_draws_are_bit_identical(p, q, m, seed, n_streams):
@@ -301,7 +307,7 @@ def test_delta_monte_carlo_chunked_draws_are_bit_identical(p, q, m, seed, n_stre
     assert np.concatenate(chunked).tobytes() == d2.tobytes()
     # Each stream is reduced on its own, so one stream's mean is the mean of
     # the whole sample to the last bit; combining several by the pairwise
-    # update, and summing squared deviations by chunk, agrees to rounding.
+    # update agrees to rounding.
     est = cc.delta_monte_carlo(p, q, m, rng=seed, n_streams=n_streams)
     if n_streams == 1:
         assert est.mean == float(d2.mean())
@@ -311,19 +317,33 @@ def test_delta_monte_carlo_chunked_draws_are_bit_identical(p, q, m, seed, n_stre
     assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=0)
 
 
-def test_row_sums_are_numpy_row_sums_bit_for_bit():
-    # numpy's own order below 8 cells, across the eight-lane block up to
-    # 128 and past it, on chunks of many rows and of one row
-    from coupleclust.coupling import _row_sums
+# delta_monte_carlo(p, q, 200_000, rng=seed) as (mean, std_error) for seeds
+# 0, 1 and 2, recorded while rows were summed in numpy's pairwise order.
+PINNED_DELTA = {
+    (3, 4): [
+        (0.025033840308683625, 6.621323435195322e-05),
+        (0.024977483017481733, 6.646720788179206e-05),
+        (0.024921655868597917, 6.624015811417315e-05),
+    ],
+    (10, 10): [
+        (0.006699519307265479, 1.2068433374220213e-05),
+        (0.006688178926167707, 1.2075552008456383e-05),
+        (0.006680940450347625, 1.204586456803012e-05),
+    ],
+}
 
-    rng = np.random.default_rng(5)
-    for k in range(1, 141):
-        for rows in (1, 2, 1_000):
-            x = rng.standard_exponential((rows, k))
-            out = np.empty(rows)
-            got = _row_sums(x, out, np.empty((3, rows)))
-            assert got is out
-            assert got.tobytes() == x.sum(axis=1).tobytes(), (k, rows)
+
+@pytest.mark.parametrize("p, q", PINNED_DELTA)
+def test_delta_monte_carlo_stream_is_pinned(p, q):
+    # the random stream is fixed, so a change in how rows are summed moves
+    # only the last bits; each estimate also lies within 5 standard errors
+    # of the closed form
+    closed = cc.delta_closed_form(p, q)
+    for seed, (mean, std_error) in enumerate(PINNED_DELTA[p, q]):
+        est = cc.delta_monte_carlo(p, q, 200_000, rng=seed)
+        assert est.mean == pytest.approx(mean, rel=1e-13, abs=0)
+        assert est.std_error == pytest.approx(std_error, rel=1e-13, abs=0)
+        assert abs(est.mean - closed) <= 5 * est.std_error
 
 
 def test_delta_monte_carlo_memory_is_bounded():
@@ -408,5 +428,14 @@ def test_from_cells_rejections_and_dust():
 
 
 def test_delta_estimate_validation():
-    with pytest.raises(cc.NegativeEntry):
-        cc.DeltaEstimate(mean=-0.1, std_error=0.0, n_samples=10)
+    # a NaN or infinite field would reach to_json() as invalid JSON
+    for error, mean, std_error in [
+        (cc.NegativeEntry, -0.1, 0.0),
+        (cc.NegativeEntry, 0.1, -0.1),
+        (cc.NonFiniteEntry, np.nan, 0.0),
+        (cc.NonFiniteEntry, np.inf, 0.0),
+        (cc.NonFiniteEntry, 0.1, np.nan),
+        (cc.NonFiniteEntry, 0.1, np.inf),
+    ]:
+        with pytest.raises(error):
+            cc.DeltaEstimate(mean=mean, std_error=std_error, n_samples=10)

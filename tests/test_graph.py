@@ -668,6 +668,15 @@ def test_bias_bin_edges_kinds():
 def test_bias_histogram_validation_and_json():
     with pytest.raises(cc.DimensionMismatch):
         cc.BiasHistogram(np.array([0.0, 1.0]), np.array([1.0, 2.0]), "x")
+    # a NaN or infinite entry would reach to_json() as invalid JSON
+    for edges, counts in [
+        ([0.0, 1.0], [np.nan]),
+        ([0.0, 1.0], [np.inf]),
+        ([0.0, np.inf], [1.0]),
+        ([np.nan, 1.0], [1.0]),
+    ]:
+        with pytest.raises(cc.NonFiniteEntry):
+            cc.BiasHistogram(np.array(edges), np.array(counts), "x")
     h = cc.BiasHistogram(np.array([0.0, 1.0, 2.0]), np.array([3.0, 1.0]), "x")
     assert h.total == 4.0
     npt.assert_allclose(h.mean(), (0.5 * 3 + 1.5 * 1) / 4)

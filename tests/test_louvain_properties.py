@@ -25,6 +25,7 @@ from coupleclust.louvain import (
     _canonical,
     _check_graph,
     _move,
+    _partition_level,
     _score_labels,
     _stored_entries,
 )
@@ -193,8 +194,24 @@ def test_criteria_differ_by_a_rank_one_term(n, eps, max_weight, seed, data):
     )
     indep, indet = (cc.global_score(g, criterion, part) for criterion in CRITERIA)
     excess = g.degrees - two_m / n
-    term = (np.bincount(part.labels, weights=excess) ** 2).sum() / two_m
+
+    def term_of(labels):
+        return (np.bincount(labels, weights=excess) ** 2).sum() / two_m
+
+    term = term_of(part.labels)
     assert abs(indet - (two_m * indep + term)) <= 1e-12 * two_m
+    # The degrees alone bracket the term: the class excesses sum to 0, so
+    # their squares sum to at most 2 * above**2, where above is the excess
+    # of the above-mean nodes. Classes of the above-mean and of the other
+    # nodes attain it, and for small n no partition beats them.
+    above = excess[excess > 0].sum()
+    bound = above**2 / (two_m / 2)
+    assert 0 <= term <= bound + 1e-12 * two_m
+    assert abs(term_of((excess > 0).astype(np.intp)) - bound) <= 1e-12 * two_m
+    if n <= 8:
+        rows, _ = _partition_level(n - 1)
+        terms = sum(((rows == c) @ excess) ** 2 for c in range(n)) / two_m
+        assert abs(terms.max() - bound) <= 1e-12 * two_m
     for _ in range(3):
         i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
         b_x, b_plus = cc.bias_independence(g, i, j), cc.bias_indetermination(g, i, j)

@@ -156,6 +156,22 @@ def test_agreement_counts_hand_example():
         cc.agreement_counts(x, cc.relational_encode([0, 1]))
 
 
+@pytest.mark.parametrize(
+    "error, fields",
+    [
+        (cc.NegativeEntry, (3.0, 2.0, -1.0, 2.0)),
+        (cc.NonFiniteEntry, (np.nan, 2.0, 2.0, 2.0)),
+        (cc.NonFiniteEntry, (3.0, np.inf, 2.0, 2.0)),
+        (cc.NonFiniteEntry, (3.0, 2.0, -np.inf, 2.0)),
+        (cc.NonFiniteEntry, (3.0, 2.0, 2.0, np.nan)),
+    ],
+)
+def test_agreement_counts_validation(error, fields):
+    # a NaN or infinite field would reach to_json() as invalid JSON
+    with pytest.raises(error):
+        cc.AgreementCounts(*fields)
+
+
 def test_expected_terms_sum_to_one_and_match_brute_force():
     rng = np.random.default_rng(10)
     mu = cc.sample_dirichlet(3, rng)
